@@ -181,11 +181,27 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
     return validation_error(
         model_label, "non-finite model weight (NaN serialises as null)");
   }
+  for (std::size_t j : pipeline.kept_features()) {
+    if (j >= pipeline.n_input_features()) {
+      return validation_error(config_label,
+                              "pipeline keeps column " + std::to_string(j) +
+                                  " beyond its input width");
+    }
+  }
   std::unique_ptr<ml::Regressor> model;
   try {
+    // Loading a tree model compiles its flat form, which rejects a child
+    // index out of range, a cycle and a shared child.
     model = ml::load_model(model_blob);
   } catch (const std::exception& e) {
     return validation_error(model_label, e.what());
+  }
+  if (model->input_width() > pipeline.kept_features().size()) {
+    return validation_error(
+        model_label,
+        "model reads feature " + std::to_string(model->input_width() - 1) +
+            " but the pipeline keeps " +
+            std::to_string(pipeline.kept_features().size()) + " columns");
   }
 
   // --- all checks passed: freeze a snapshot -------------------------------
@@ -515,18 +531,6 @@ AdsalaGemm::Decision AdsalaGemm::query(blas::OpKind op, long x, long y,
   return d;
 }
 
-int AdsalaGemm::select_threads_syrk(long n, long k, int elem_bytes) const {
-  return select_threads(blas::OpKind::kSyrk, n, k, 0, elem_bytes);
-}
-
-int AdsalaGemm::select_threads_trsm(long n, long m, int elem_bytes) const {
-  return select_threads(blas::OpKind::kTrsm, n, m, 0, elem_bytes);
-}
-
-int AdsalaGemm::select_threads_symm(long n, long m, int elem_bytes) const {
-  return select_threads(blas::OpKind::kSymm, n, m, 0, elem_bytes);
-}
-
 namespace {
 
 /// Shared sampling shim for the BLAS execution wrappers: when this call
@@ -575,7 +579,7 @@ void AdsalaGemm::dgemm(int m, int n, int k, double alpha, const double* a,
 void AdsalaGemm::ssyrk(blas::Uplo uplo, int n, int k, float alpha,
                        const float* a, int lda, float beta, float* c,
                        int ldc) {
-  const int p = select_threads_syrk(n, k, 4);
+  const int p = select_threads(blas::OpKind::kSyrk, n, k, 0, 4);
   run_sampled(*this, blas::OpKind::kSyrk, n, k, 0, 4, p, [&] {
     blas::ssyrk(uplo, blas::Trans::kNo, n, k, alpha, a, lda, beta, c, ldc, p);
   });
@@ -584,7 +588,7 @@ void AdsalaGemm::ssyrk(blas::Uplo uplo, int n, int k, float alpha,
 void AdsalaGemm::dsyrk(blas::Uplo uplo, int n, int k, double alpha,
                        const double* a, int lda, double beta, double* c,
                        int ldc) {
-  const int p = select_threads_syrk(n, k, 8);
+  const int p = select_threads(blas::OpKind::kSyrk, n, k, 0, 8);
   run_sampled(*this, blas::OpKind::kSyrk, n, k, 0, 8, p, [&] {
     blas::dsyrk(uplo, blas::Trans::kNo, n, k, alpha, a, lda, beta, c, ldc, p);
   });
@@ -593,7 +597,7 @@ void AdsalaGemm::dsyrk(blas::Uplo uplo, int n, int k, double alpha,
 void AdsalaGemm::strsm(blas::Uplo uplo, blas::Trans trans, blas::Diag diag,
                        int n, int m, float alpha, const float* a, int lda,
                        float* b, int ldb) {
-  const int p = select_threads_trsm(n, m, 4);
+  const int p = select_threads(blas::OpKind::kTrsm, n, m, 0, 4);
   run_sampled(*this, blas::OpKind::kTrsm, n, m, 0, 4, p, [&] {
     blas::strsm(uplo, trans, diag, n, m, alpha, a, lda, b, ldb, p);
   });
@@ -602,7 +606,7 @@ void AdsalaGemm::strsm(blas::Uplo uplo, blas::Trans trans, blas::Diag diag,
 void AdsalaGemm::dtrsm(blas::Uplo uplo, blas::Trans trans, blas::Diag diag,
                        int n, int m, double alpha, const double* a, int lda,
                        double* b, int ldb) {
-  const int p = select_threads_trsm(n, m, 8);
+  const int p = select_threads(blas::OpKind::kTrsm, n, m, 0, 8);
   run_sampled(*this, blas::OpKind::kTrsm, n, m, 0, 8, p, [&] {
     blas::dtrsm(uplo, trans, diag, n, m, alpha, a, lda, b, ldb, p);
   });
@@ -611,7 +615,7 @@ void AdsalaGemm::dtrsm(blas::Uplo uplo, blas::Trans trans, blas::Diag diag,
 void AdsalaGemm::ssymm(blas::Uplo uplo, int n, int m, float alpha,
                        const float* a, int lda, const float* b, int ldb,
                        float beta, float* c, int ldc) {
-  const int p = select_threads_symm(n, m, 4);
+  const int p = select_threads(blas::OpKind::kSymm, n, m, 0, 4);
   run_sampled(*this, blas::OpKind::kSymm, n, m, 0, 4, p, [&] {
     blas::ssymm(uplo, n, m, alpha, a, lda, b, ldb, beta, c, ldc, p);
   });
@@ -620,7 +624,7 @@ void AdsalaGemm::ssymm(blas::Uplo uplo, int n, int m, float alpha,
 void AdsalaGemm::dsymm(blas::Uplo uplo, int n, int m, double alpha,
                        const double* a, int lda, const double* b, int ldb,
                        double beta, double* c, int ldc) {
-  const int p = select_threads_symm(n, m, 8);
+  const int p = select_threads(blas::OpKind::kSymm, n, m, 0, 8);
   run_sampled(*this, blas::OpKind::kSymm, n, m, 0, 8, p, [&] {
     blas::dsymm(uplo, n, m, alpha, a, lda, b, ldb, beta, c, ldc, p);
   });

@@ -247,13 +247,6 @@ class AdsalaGemm {
   Decision query(blas::OpKind op, long x, long y, long z = 0,
                  int elem_bytes = 4) const;
 
-  /// Compat wrappers over the generic entry point, one per pre-registry
-  /// family: SYRK (n, k); left-side TRSM (A n x n triangular, m right-hand
-  /// -side columns); left-side SYMM (A symmetric n x n, B/C n x m).
-  int select_threads_syrk(long n, long k, int elem_bytes = 4) const;
-  int select_threads_trsm(long n, long m, int elem_bytes = 4) const;
-  int select_threads_symm(long n, long m, int elem_bytes = 4) const;
-
   /// Thread selection + the from-scratch BLAS, i.e. the paper's drop-in
   /// sgemm replacement for native runs. Row-major, C = alpha*A*B + beta*C.
   void sgemm(int m, int n, int k, float alpha, const float* a, int lda,

@@ -1,6 +1,7 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -30,6 +31,7 @@ std::size_t predict_best_grid_index(const ml::Regressor& model,
                                     std::span<const int> thread_grid,
                                     blas::OpKind op,
                                     blas::kernels::Variant variant) {
+  if (thread_grid.empty()) return 0;
   // The fitted input width decides the raw-row layout (current 25-column
   // schema, the 24/23/21-column legacy tiers, or the PR-1 numeric-only 17);
   // the schema tiers live in preprocess::make_query_features.
@@ -38,20 +40,40 @@ std::size_t predict_best_grid_index(const ml::Regressor& model,
       variant == blas::kernels::Variant::kAuto) {
     variant = blas::kernels::active_variant();
   }
-  std::size_t best = 0;
-  double best_pred = 0.0;
-  for (std::size_t t = 0; t < thread_grid.size(); ++t) {
-    const double m = static_cast<double>(shape.m);
-    const double k = static_cast<double>(shape.k);
-    const double n = static_cast<double>(shape.n);
-    const double p = static_cast<double>(thread_grid[t]);
-    const auto x = pipeline.transform_row(
-        preprocess::make_query_features(m, k, n, p, op, variant, width));
-    const double pred = model.predict_one(x);
-    if (t == 0 || pred < best_pred) {
-      best_pred = pred;
-      best = t;
+  // The grid rows differ only in their thread columns: build and
+  // transform the query row once, then rewrite just the kept thread
+  // columns per grid point, and score every row in one predict_grid call.
+  // The rows live in one buffer per thread, so after a thread's first call
+  // a cold selection allocates nothing.
+  std::array<double, preprocess::kNumOpAwareFeatures> raw{};
+  preprocess::fill_query_features(
+      static_cast<double>(shape.m), static_cast<double>(shape.k),
+      static_cast<double>(shape.n), static_cast<double>(thread_grid[0]), op,
+      variant, width, raw);
+  const std::vector<std::size_t>& keep = pipeline.kept_features();
+  const std::size_t cols = keep.size();
+  const std::size_t n_rows = thread_grid.size();
+  thread_local std::vector<double> rows, preds;
+  rows.resize(n_rows * cols);
+  preds.resize(n_rows);
+  for (std::size_t pos = 0; pos < cols; ++pos) {
+    rows[pos] = pipeline.transform_kept(pos, raw[keep[pos]]);
+  }
+  for (std::size_t t = 1; t < n_rows; ++t) {
+    preprocess::set_thread_features(static_cast<double>(thread_grid[t]), raw);
+    double* row = rows.data() + t * cols;
+    std::copy_n(rows.data(), cols, row);
+    for (std::size_t pos = 0; pos < cols; ++pos) {
+      if (preprocess::is_thread_feature(keep[pos])) {
+        row[pos] = pipeline.transform_kept(pos, raw[keep[pos]]);
+      }
     }
+  }
+  model.predict_grid(rows, n_rows, preds);
+
+  std::size_t best = 0;
+  for (std::size_t t = 1; t < n_rows; ++t) {
+    if (preds[t] < preds[best]) best = t;
   }
   return best;
 }

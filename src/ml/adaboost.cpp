@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "common/rng.h"
 
@@ -64,25 +65,46 @@ void AdaBoostR2::fit(const Dataset& data) {
     trees_.push_back(std::move(tree));
     beta_log_.push_back(weight_log);
   }
+  flat_ = compile_trees(trees_);
 }
 
 double AdaBoostR2::predict_one(std::span<const double> x) const {
-  if (trees_.empty()) return 0.0;
+  double out = 0.0;
+  predict_grid(x, 1, {&out, 1});
+  return out;
+}
+
+void AdaBoostR2::predict_grid(std::span<const double> rows,
+                              std::size_t n_rows,
+                              std::span<double> out) const {
+  if (trees_.empty()) {
+    std::fill_n(out.begin(), n_rows, 0.0);
+    return;
+  }
+  const std::size_t n_trees = trees_.size();
+  std::vector<double> leaves(n_rows * n_trees);
+  flat_.leaves(rows, n_rows, leaves);
   // Weighted median of member predictions (Drucker 1997, eq. at end of SS3).
   std::vector<std::pair<double, double>> pred;  // (prediction, weight)
-  pred.reserve(trees_.size());
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    pred.emplace_back(trees_[t].predict_one(x), beta_log_[t]);
+  pred.reserve(n_trees);
+  for (std::size_t g = 0; g < n_rows; ++g) {
+    pred.clear();
+    for (std::size_t t = 0; t < n_trees; ++t) {
+      pred.emplace_back(leaves[g * n_trees + t], beta_log_[t]);
+    }
+    std::sort(pred.begin(), pred.end());
+    double total = 0.0;
+    for (const auto& [p, w] : pred) total += w;
+    double acc = 0.0;
+    out[g] = pred.back().first;
+    for (const auto& [p, w] : pred) {
+      acc += w;
+      if (acc >= 0.5 * total) {
+        out[g] = p;
+        break;
+      }
+    }
   }
-  std::sort(pred.begin(), pred.end());
-  double total = 0.0;
-  for (const auto& [p, w] : pred) total += w;
-  double acc = 0.0;
-  for (const auto& [p, w] : pred) {
-    acc += w;
-    if (acc >= 0.5 * total) return p;
-  }
-  return pred.back().first;
 }
 
 Json AdaBoostR2::save() const {
@@ -111,6 +133,10 @@ void AdaBoostR2::load(const Json& blob) {
     trees_.push_back(std::move(tree));
   }
   beta_log_ = blob.at("beta_log").to_doubles();
+  if (beta_log_.size() != trees_.size()) {
+    throw std::invalid_argument("AdaBoostR2: one weight per tree required");
+  }
+  flat_ = compile_trees(trees_);
 }
 
 }  // namespace adsala::ml

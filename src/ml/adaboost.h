@@ -15,6 +15,9 @@ class AdaBoostR2 : public Regressor {
 
   void fit(const Dataset& data) override;
   double predict_one(std::span<const double> x) const override;
+  void predict_grid(std::span<const double> rows, std::size_t n_rows,
+                    std::span<double> out) const override;
+  std::size_t input_width() const override { return flat_.input_width(); }
   std::string name() const override { return "adaboost"; }
 
   Params get_params() const override {
@@ -49,6 +52,7 @@ class AdaBoostR2 : public Regressor {
   std::uint64_t seed_ = 13;
   std::vector<DecisionTree> trees_;
   std::vector<double> beta_log_;  ///< log(1/beta_t), the estimator weights
+  FlatEnsemble flat_;             ///< trees_ compiled for prediction
 };
 
 }  // namespace adsala::ml

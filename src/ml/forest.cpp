@@ -1,5 +1,7 @@
 #include "ml/forest.h"
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "common/thread_pool.h"
 
@@ -28,13 +30,27 @@ void RandomForest::fit(const Dataset& data) {
     trees_[t].set_params(p);
     trees_[t].fit_weighted(data, weights[t]);
   });
+  flat_ = compile_trees(trees_);
 }
 
 double RandomForest::predict_one(std::span<const double> x) const {
-  if (trees_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& tree : trees_) sum += tree.predict_one(x);
-  return sum / static_cast<double>(trees_.size());
+  double out = 0.0;
+  predict_grid(x, 1, {&out, 1});
+  return out;
+}
+
+void RandomForest::predict_grid(std::span<const double> rows,
+                                std::size_t n_rows,
+                                std::span<double> out) const {
+  if (trees_.empty()) {
+    std::fill_n(out.begin(), n_rows, 0.0);
+    return;
+  }
+  // The mean over trees: summed from 0 in tree order, then divided.
+  flat_.sum(rows, n_rows, 0.0, out);
+  for (std::size_t g = 0; g < n_rows; ++g) {
+    out[g] /= static_cast<double>(trees_.size());
+  }
 }
 
 Json RandomForest::save() const {
@@ -61,6 +77,7 @@ void RandomForest::load(const Json& blob) {
     tree.load(tj);
     trees_.push_back(std::move(tree));
   }
+  flat_ = compile_trees(trees_);
 }
 
 }  // namespace adsala::ml

@@ -16,6 +16,9 @@ class RandomForest : public Regressor {
 
   void fit(const Dataset& data) override;
   double predict_one(std::span<const double> x) const override;
+  void predict_grid(std::span<const double> rows, std::size_t n_rows,
+                    std::span<double> out) const override;
+  std::size_t input_width() const override { return flat_.input_width(); }
   std::string name() const override { return "random_forest"; }
 
   Params get_params() const override {
@@ -49,6 +52,7 @@ class RandomForest : public Regressor {
   double max_features_ = 0.5;
   std::uint64_t seed_ = 11;
   std::vector<DecisionTree> trees_;
+  FlatEnsemble flat_;  ///< trees_ compiled for prediction
 };
 
 }  // namespace adsala::ml

@@ -31,18 +31,6 @@ double score(double g, double h, double reg_lambda) {
   return g * g / (h + reg_lambda);
 }
 
-double tree_predict(const std::vector<TreeNode>& nodes,
-                    std::span<const double> x) {
-  const TreeNode* node = &nodes[0];
-  while (!node->is_leaf()) {
-    const auto f = static_cast<std::size_t>(node->feature);
-    node = x[f] <= node->threshold
-               ? &nodes[static_cast<std::size_t>(node->left)]
-               : &nodes[static_cast<std::size_t>(node->right)];
-  }
-  return node->value;
-}
-
 }  // namespace
 
 void XgbRegressor::fit(const Dataset& data) {
@@ -56,6 +44,7 @@ void XgbRegressor::fit(const Dataset& data) {
   base_score_ /= static_cast<double>(n);
 
   std::vector<double> pred(n, base_score_);
+  std::vector<double> round_pred(n);  // this round's tree, per training row
   std::vector<GradPair> grad(n);
   Rng rng(seed_);
 
@@ -180,17 +169,23 @@ void XgbRegressor::fit(const Dataset& data) {
       todo.push({right_id, mid, item.end, item.depth + 1});
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-      pred[i] += tree_predict(nodes, data.row(i));
-    }
+    FlatEnsemble({&nodes, 1}).leaves(data.flat(), n, round_pred);
+    for (std::size_t i = 0; i < n; ++i) pred[i] += round_pred[i];
     trees_.push_back(std::move(nodes));
   }
+  flat_ = FlatEnsemble(trees_);
 }
 
 double XgbRegressor::predict_one(std::span<const double> x) const {
-  double acc = base_score_;
-  for (const auto& tree : trees_) acc += tree_predict(tree, x);
-  return acc;
+  double out = 0.0;
+  predict_grid(x, 1, {&out, 1});
+  return out;
+}
+
+void XgbRegressor::predict_grid(std::span<const double> rows,
+                                std::size_t n_rows,
+                                std::span<double> out) const {
+  flat_.sum(rows, n_rows, base_score_, out);
 }
 
 Json XgbRegressor::save() const {
@@ -242,6 +237,7 @@ void XgbRegressor::load(const Json& blob) {
     }
     trees_.push_back(std::move(nodes));
   }
+  flat_ = FlatEnsemble(trees_);
 }
 
 }  // namespace adsala::ml

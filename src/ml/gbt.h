@@ -22,6 +22,9 @@ class XgbRegressor : public Regressor {
 
   void fit(const Dataset& data) override;
   double predict_one(std::span<const double> x) const override;
+  void predict_grid(std::span<const double> rows, std::size_t n_rows,
+                    std::span<double> out) const override;
+  std::size_t input_width() const override { return flat_.input_width(); }
   std::string name() const override { return "xgboost"; }
 
   Params get_params() const override {
@@ -69,6 +72,7 @@ class XgbRegressor : public Regressor {
 
   double base_score_ = 0.0;
   std::vector<std::vector<TreeNode>> trees_;  ///< leaf values pre-shrunk
+  FlatEnsemble flat_;  ///< trees_ compiled for prediction
 };
 
 }  // namespace adsala::ml

@@ -20,6 +20,9 @@ class LightGbmRegressor : public Regressor {
 
   void fit(const Dataset& data) override;
   double predict_one(std::span<const double> x) const override;
+  void predict_grid(std::span<const double> rows, std::size_t n_rows,
+                    std::span<double> out) const override;
+  std::size_t input_width() const override { return flat_.input_width(); }
   std::string name() const override { return "lightgbm"; }
 
   Params get_params() const override {
@@ -61,6 +64,7 @@ class LightGbmRegressor : public Regressor {
 
   double base_score_ = 0.0;
   std::vector<std::vector<TreeNode>> trees_;  ///< thresholds in value space
+  FlatEnsemble flat_;  ///< trees_ compiled for prediction
 };
 
 }  // namespace adsala::ml

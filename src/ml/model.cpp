@@ -4,12 +4,18 @@
 
 namespace adsala::ml {
 
-std::vector<double> Regressor::predict(const Dataset& data) const {
-  std::vector<double> out;
-  out.reserve(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    out.push_back(predict_one(data.row(i)));
+void Regressor::predict_grid(std::span<const double> rows,
+                             std::size_t n_rows, std::span<double> out) const {
+  if (n_rows == 0) return;
+  const std::size_t width = rows.size() / n_rows;
+  for (std::size_t g = 0; g < n_rows; ++g) {
+    out[g] = predict_one(rows.subspan(g * width, width));
   }
+}
+
+std::vector<double> Regressor::predict(const Dataset& data) const {
+  std::vector<double> out(data.size());
+  predict_grid(data.flat(), data.size(), out);
   return out;
 }
 

@@ -30,8 +30,20 @@ class Regressor {
   /// Predicts one row (feature order must match the training set).
   virtual double predict_one(std::span<const double> x) const = 0;
 
-  /// Batch prediction; default loops over predict_one.
-  virtual std::vector<double> predict(const Dataset& data) const;
+  /// Predicts n_rows rows stored back to back in `rows` (rows.size() /
+  /// n_rows values each) into out[0, n_rows), each value bit-identical to
+  /// predict_one on that row. The default loops over predict_one; the tree
+  /// models walk all rows through their trees together (ml/flat_ensemble.h).
+  virtual void predict_grid(std::span<const double> rows, std::size_t n_rows,
+                            std::span<double> out) const;
+
+  /// Batch prediction over a dataset, through predict_grid.
+  std::vector<double> predict(const Dataset& data) const;
+
+  /// Columns a fitted model reads: its highest feature index + 1, or 0 when
+  /// it does not track one (the non-tree models). Rows narrower than this
+  /// are refused.
+  virtual std::size_t input_width() const { return 0; }
 
   virtual std::string name() const = 0;
 

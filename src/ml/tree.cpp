@@ -179,18 +179,30 @@ void DecisionTree::fit_weighted(const Dataset& data,
     todo.push({left_id, item.begin, mid, item.depth + 1});
     todo.push({right_id, mid, item.end, item.depth + 1});
   }
+  flat_ = compile_trees({this, 1});
+}
+
+FlatEnsemble compile_trees(std::span<const DecisionTree> trees) {
+  std::vector<std::span<const TreeNode>> nodes;
+  nodes.reserve(trees.size());
+  for (const auto& tree : trees) nodes.emplace_back(tree.nodes());
+  return FlatEnsemble(nodes);
 }
 
 double DecisionTree::predict_one(std::span<const double> x) const {
-  if (nodes_.empty()) return 0.0;
-  const TreeNode* node = &nodes_[0];
-  while (!node->is_leaf()) {
-    const auto f = static_cast<std::size_t>(node->feature);
-    node = x[f] <= node->threshold
-               ? &nodes_[static_cast<std::size_t>(node->left)]
-               : &nodes_[static_cast<std::size_t>(node->right)];
+  double out = 0.0;
+  predict_grid(x, 1, {&out, 1});
+  return out;
+}
+
+void DecisionTree::predict_grid(std::span<const double> rows,
+                                std::size_t n_rows,
+                                std::span<double> out) const {
+  if (flat_.n_trees() == 0) {  // unfitted
+    std::fill_n(out.begin(), n_rows, 0.0);
+    return;
   }
-  return node->value;
+  flat_.leaves(rows, n_rows, out);
 }
 
 std::size_t DecisionTree::depth() const {
@@ -248,6 +260,7 @@ void DecisionTree::load(const Json& blob) {
     nodes_[i].left = blob.at("left").as_array()[i].as_int();
     nodes_[i].right = blob.at("right").as_array()[i].as_int();
   }
+  flat_ = compile_trees({this, 1});
 }
 
 }  // namespace adsala::ml

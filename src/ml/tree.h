@@ -9,20 +9,10 @@
 
 #include <cstdint>
 
+#include "ml/flat_ensemble.h"
 #include "ml/model.h"
 
 namespace adsala::ml {
-
-/// Flat node record; leaves have feature == -1 and carry `value`.
-struct TreeNode {
-  int feature = -1;
-  double threshold = 0.0;
-  double value = 0.0;
-  int left = -1;
-  int right = -1;
-
-  bool is_leaf() const { return feature < 0; }
-};
 
 class DecisionTree : public Regressor {
  public:
@@ -34,6 +24,9 @@ class DecisionTree : public Regressor {
   void fit_weighted(const Dataset& data, std::span<const double> weights);
 
   double predict_one(std::span<const double> x) const override;
+  void predict_grid(std::span<const double> rows, std::size_t n_rows,
+                    std::span<double> out) const override;
+  std::size_t input_width() const override { return flat_.input_width(); }
   std::string name() const override { return "decision_tree"; }
 
   Params get_params() const override {
@@ -63,12 +56,18 @@ class DecisionTree : public Regressor {
   std::size_t depth() const;  ///< actual depth of the fitted tree
 
  private:
+
   int max_depth_ = 12;
   int min_samples_split_ = 2;
   int min_samples_leaf_ = 1;
   double max_features_ = 1.0;  ///< fraction of features tried per split
   std::uint64_t seed_ = 7;
   std::vector<TreeNode> nodes_;
+  FlatEnsemble flat_;  ///< nodes_ compiled for prediction
 };
+
+/// Compiles fitted trees, in order, into one FlatEnsemble (the forest and
+/// AdaBoost combine their members' leaves).
+FlatEnsemble compile_trees(std::span<const DecisionTree> trees);
 
 }  // namespace adsala::ml

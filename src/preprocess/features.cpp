@@ -70,6 +70,19 @@ std::vector<std::size_t> categorical_indices() {
   return idx;
 }
 
+bool is_thread_feature(std::size_t col) {
+  return col == 3 || (col >= 9 && col < kNumFeatures);
+}
+
+void set_thread_features(double t, std::span<double> row) {
+  row[3] = t;
+  // Group 2 is Group 1 over t, minus the n_threads column itself.
+  constexpr std::size_t kSerial[] = {0, 1, 2, 4, 5, 6, 7, 8};
+  for (std::size_t i = 0; i < std::size(kSerial); ++i) {
+    row[9 + i] = row[kSerial[i]] / t;
+  }
+}
+
 std::array<double, kNumFeatures> make_features(double m, double k, double n,
                                                double t) {
   const double mk = m * k;
@@ -77,9 +90,9 @@ std::array<double, kNumFeatures> make_features(double m, double k, double n,
   const double kn = k * n;
   const double mkn = m * k * n;
   const double total = mk + kn + mn;
-  return {m,      k,      n,      t,      mk,     mn,      kn,     mkn,
-          total,  m / t,  k / t,  n / t,  mk / t, mn / t,  kn / t, mkn / t,
-          total / t};
+  std::array<double, kNumFeatures> row{m, k, n, 0.0, mk, mn, kn, mkn, total};
+  set_thread_features(t, row);
+  return row;
 }
 
 std::array<double, kNumOpAwareFeatures> make_op_aware_features(
@@ -111,9 +124,20 @@ std::vector<double> make_query_features(double m, double k, double n,
                                         double t, blas::OpKind op,
                                         blas::kernels::Variant variant,
                                         std::size_t pipeline_width) {
+  std::array<double, kNumOpAwareFeatures> row{};
+  const std::size_t width =
+      fill_query_features(m, k, n, t, op, variant, pipeline_width, row);
+  return {row.begin(), row.begin() + static_cast<std::ptrdiff_t>(width)};
+}
+
+std::size_t fill_query_features(double m, double k, double n, double t,
+                                blas::OpKind op,
+                                blas::kernels::Variant variant,
+                                std::size_t pipeline_width,
+                                std::span<double, kNumOpAwareFeatures> out) {
   const auto base = make_features(m, k, n, t);
-  std::vector<double> out(base.begin(), base.end());
-  if (pipeline_width < kNumLegacyOpAwareFeatures) return out;
+  std::copy(base.begin(), base.end(), out.begin());
+  if (pipeline_width < kNumLegacyOpAwareFeatures) return kNumFeatures;
   // Every op-aware tier is 17 numeric + op one-hots + the kernel block (2
   // wide on legacy artefacts, 3 since the AVX-512 tier). Operations the
   // artefact's schema never saw are proxied as GEMM rows (their stored
@@ -127,12 +151,11 @@ std::vector<double> make_query_features(double m, double k, double n,
                                                 : blas::op_code(
                                                       blas::OpKind::kGemm));
   for (std::size_t j = 0; j < n_op_cols; ++j) {
-    out.push_back(j == code ? 1.0 : 0.0);
+    out[kNumFeatures + j] = j == code ? 1.0 : 0.0;
   }
-  double kernel[kNumKernelFeatures];
-  set_kernel_onehots(variant, kernel, n_kernel_cols);
-  out.insert(out.end(), kernel, kernel + n_kernel_cols);
-  return out;
+  set_kernel_onehots(variant, out.data() + kNumFeatures + n_op_cols,
+                     n_kernel_cols);
+  return kNumFeatures + n_op_cols + n_kernel_cols;
 }
 
 bool op_served_first_class(blas::OpKind op, std::size_t pipeline_width) {

@@ -73,6 +73,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,14 @@ std::vector<std::size_t> categorical_indices();
 std::array<double, kNumFeatures> make_features(double m, double k, double n,
                                                double n_threads);
 
+/// True for the raw columns computed from n_threads (3 and 9..16, in every
+/// schema tier); the rest of a query row is the same at every grid point.
+bool is_thread_feature(std::size_t col);
+
+/// Rewrites the thread columns of a raw row for `n_threads`, from its
+/// serial columns 0..8 (make_features builds every row this way).
+void set_thread_features(double n_threads, std::span<double> row);
+
 /// Computes the full op-aware row: numeric features plus the op / kernel
 /// one-hots. For non-GEMM operations pass the equivalent-GEMM shape (SYRK:
 /// m == n; TRSM/SYMM: m == k). `variant` must be concrete (resolve kAuto via
@@ -154,6 +163,14 @@ std::vector<double> make_query_features(double m, double k, double n,
                                         double n_threads, blas::OpKind op,
                                         blas::kernels::Variant variant,
                                         std::size_t pipeline_width);
+
+/// make_query_features without the allocation: writes the same row into
+/// `out` and returns its width.
+std::size_t fill_query_features(double m, double k, double n,
+                                double n_threads, blas::OpKind op,
+                                blas::kernels::Variant variant,
+                                std::size_t pipeline_width,
+                                std::span<double, kNumOpAwareFeatures> out);
 
 /// True when a pipeline of this fitted input width serves `op` from its own
 /// one-hot column; false when the query degrades to the GEMM proxy (the op

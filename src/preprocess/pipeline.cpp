@@ -99,15 +99,18 @@ ml::Dataset Pipeline::fit_transform(const ml::Dataset& raw) {
 
 std::vector<double> Pipeline::transform_row(
     std::span<const double> raw) const {
-  std::vector<double> out;
-  out.reserve(keep_.size());
-  for (std::size_t j : keep_) {
-    double v = raw[j];
-    if (cfg_.yeo_johnson) v = yeo_johnson(v, lambdas_[j]);
-    if (cfg_.standardize) v = (v - means_[j]) / stds_[j];
-    out.push_back(v);
+  std::vector<double> out(keep_.size());
+  for (std::size_t pos = 0; pos < keep_.size(); ++pos) {
+    out[pos] = transform_kept(pos, raw[keep_[pos]]);
   }
   return out;
+}
+
+double Pipeline::transform_kept(std::size_t pos, double v) const {
+  const std::size_t j = keep_[pos];
+  if (cfg_.yeo_johnson) v = yeo_johnson(v, lambdas_[j]);
+  if (cfg_.standardize) v = (v - means_[j]) / stds_[j];
+  return v;
 }
 
 double Pipeline::transform_label(double y) const {

@@ -55,6 +55,10 @@ class Pipeline {
   /// Applies the fitted feature stages to one raw row (runtime hot path).
   std::vector<double> transform_row(std::span<const double> raw) const;
 
+  /// The fitted stages for one value of kept column `pos` (raw input
+  /// column kept_features()[pos]); transform_row applies this per column.
+  double transform_kept(std::size_t pos, double raw_value) const;
+
   double transform_label(double y) const;
   double inverse_label(double y) const;
 

@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 
 #include "blas/kernels/dispatch.h"
 #include "common/csv.h"
+#include "common/json.h"
+#include "common/rng.h"
 #include "core/adsala.h"
 #include "core/executor.h"
 #include "core/gather.h"
 #include "core/install.h"
+#include "core/op_registry.h"
 #include "core/trainer.h"
 #include "preprocess/features.h"
 
@@ -399,7 +403,8 @@ TEST(AdsalaGemm, OpAwareModelSelectsFromSyrkFamilyRows) {
   int n_diff = 0;
   for (const auto& rec : data.records) {
     if (rec.op != blas::OpKind::kSyrk) continue;
-    const int p_syrk = adsala.select_threads_syrk(rec.shape.n, rec.shape.k);
+    const int p_syrk =
+        adsala.select_threads(blas::OpKind::kSyrk, rec.shape.n, rec.shape.k);
     const int p_proxy =
         adsala.select_threads(rec.shape.n, rec.shape.k, rec.shape.n);
     EXPECT_GE(p_syrk, 1);
@@ -418,12 +423,12 @@ TEST(AdsalaGemm, OpAwareArtefactsSurviveSaveLoad) {
   AdsalaGemm restored(model_path, config_path);
   EXPECT_TRUE(restored.op_aware());
   for (long n : {64L, 300L, 900L}) {
-    EXPECT_EQ(restored.select_threads_syrk(n, 2 * n),
-              original.select_threads_syrk(n, 2 * n));
-    EXPECT_EQ(restored.select_threads_trsm(n, 2 * n),
-              original.select_threads_trsm(n, 2 * n));
-    EXPECT_EQ(restored.select_threads_symm(n, 2 * n),
-              original.select_threads_symm(n, 2 * n));
+    EXPECT_EQ(restored.select_threads(blas::OpKind::kSyrk, n, 2 * n),
+              original.select_threads(blas::OpKind::kSyrk, n, 2 * n));
+    EXPECT_EQ(restored.select_threads(blas::OpKind::kTrsm, n, 2 * n),
+              original.select_threads(blas::OpKind::kTrsm, n, 2 * n));
+    EXPECT_EQ(restored.select_threads(blas::OpKind::kSymm, n, 2 * n),
+              original.select_threads(blas::OpKind::kSymm, n, 2 * n));
     EXPECT_EQ(restored.select_threads(n, n, n),
               original.select_threads(n, n, n));
   }
@@ -449,14 +454,16 @@ TEST(AdsalaGemm, FourOpModelServesTrsmAndSymmFirstClass) {
   int n_trsm_diff = 0, n_symm_diff = 0;
   for (const auto& rec : data.records) {
     if (rec.op == blas::OpKind::kTrsm) {
-      const int p = adsala.select_threads_trsm(rec.shape.m, rec.shape.n);
+      const int p =
+          adsala.select_threads(blas::OpKind::kTrsm, rec.shape.m, rec.shape.n);
       EXPECT_GE(p, 1);
       EXPECT_LE(p, 16);
       n_trsm_diff +=
           (p != adsala.select_threads(rec.shape.m, rec.shape.m, rec.shape.n));
     }
     if (rec.op == blas::OpKind::kSymm) {
-      const int p = adsala.select_threads_symm(rec.shape.m, rec.shape.n);
+      const int p =
+          adsala.select_threads(blas::OpKind::kSymm, rec.shape.m, rec.shape.n);
       EXPECT_GE(p, 1);
       EXPECT_LE(p, 16);
       n_symm_diff +=
@@ -516,8 +523,8 @@ TEST(AdsalaGemm, Pr2EraArtefactsProxyTrsmAndSymmAsGemm) {
   // they must agree with the explicit GEMM query of the equivalent shape.
   for (long n : {64L, 256L, 700L}) {
     const int p_gemm = runtime.select_threads(n, n, 3 * n);
-    EXPECT_EQ(runtime.select_threads_trsm(n, 3 * n), p_gemm);
-    EXPECT_EQ(runtime.select_threads_symm(n, 3 * n), p_gemm);
+    EXPECT_EQ(runtime.select_threads(blas::OpKind::kTrsm, n, 3 * n), p_gemm);
+    EXPECT_EQ(runtime.select_threads(blas::OpKind::kSymm, n, 3 * n), p_gemm);
   }
   std::filesystem::remove(model_path);
   std::filesystem::remove(config_path);
@@ -558,7 +565,7 @@ TEST(AdsalaGemm, LegacyGemmOnlyArtefactsFallBackToProxy) {
   AdsalaGemm runtime(model_path, config_path);
   EXPECT_FALSE(runtime.op_aware());
   for (long n : {64L, 256L, 700L}) {
-    const int p_syrk = runtime.select_threads_syrk(n, 3 * n);
+    const int p_syrk = runtime.select_threads(blas::OpKind::kSyrk, n, 3 * n);
     const int p_proxy = runtime.select_threads(n, 3 * n, n);
     EXPECT_EQ(p_syrk, p_proxy);
     EXPECT_GE(p_syrk, 1);
@@ -583,10 +590,10 @@ TEST(AdsalaGemm, MemoInvalidatesAcrossOpsAndElemSizes) {
   // Interleaved queries over the same (m, k, n) must each return their own
   // answer — a memo keyed on the shape alone would leak across ops/sizes.
   EXPECT_EQ(adsala.select_threads(n, k, n, 4), gemm4);
-  EXPECT_EQ(adsala.select_threads_syrk(n, k, 4), syrk4);
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kSyrk, n, k, 0, 4), syrk4);
   EXPECT_EQ(adsala.select_threads(n, k, n, 4), gemm4);
   EXPECT_EQ(adsala.select_threads(n, k, n, 8), gemm8);
-  EXPECT_EQ(adsala.select_threads_syrk(n, k, 4), syrk4);
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kSyrk, n, k, 0, 4), syrk4);
   EXPECT_EQ(adsala.select_threads(n, k, n, 4), gemm4);
   EXPECT_EQ(adsala.select_threads(n, k, n, 4), gemm4);  // memo fast path
 
@@ -599,9 +606,117 @@ TEST(AdsalaGemm, MemoInvalidatesAcrossOpsAndElemSizes) {
   };
   const int trsm4 = fresh_tri(blas::OpKind::kTrsm);
   const int symm4 = fresh_tri(blas::OpKind::kSymm);
-  EXPECT_EQ(adsala.select_threads_trsm(n, k, 4), trsm4);
-  EXPECT_EQ(adsala.select_threads_symm(n, k, 4), symm4);
-  EXPECT_EQ(adsala.select_threads_trsm(n, k, 4), trsm4);
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kTrsm, n, k, 0, 4), trsm4);
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kSymm, n, k, 0, 4), symm4);
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kTrsm, n, k, 0, 4), trsm4);
+}
+
+/// The decision the runtime must reproduce, computed the plain way: one
+/// query row per grid point (make_query_features + transform_row), a
+/// recursive walk over the model's saved JSON trees, first minimum wins.
+/// Serves the two models the runtime ships with: a decision tree and
+/// xgboost.
+class DecisionOracle {
+ public:
+  explicit DecisionOracle(const AdsalaGemm& runtime) : runtime_(runtime) {
+    const Json blob = runtime.model().save();
+    const std::string name = blob.at("model").as_string();
+    if (name == "xgboost") {
+      base_ = blob.at("base_score").as_number();
+      for (const Json& tree : blob.at("trees").as_array()) {
+        trees_.push_back(parse(tree));
+      }
+    } else {
+      EXPECT_EQ(name, "decision_tree");
+      trees_.push_back(parse(blob));
+    }
+  }
+
+  int select(blas::OpKind op, long x, long y, long z, int elem) const {
+    const simarch::GemmShape shape = op_traits(op).to_shape(x, y, z, elem);
+    const preprocess::Pipeline& pipeline = runtime_.pipeline();
+    const std::size_t width = pipeline.n_input_features();
+    const auto variant = width > preprocess::kNumFeatures
+                             ? blas::kernels::active_variant()
+                             : blas::kernels::Variant::kAuto;
+    const std::vector<int>& grid = runtime_.thread_grid();
+    std::size_t best = 0;
+    double best_pred = 0.0;
+    for (std::size_t t = 0; t < grid.size(); ++t) {
+      const std::vector<double> row =
+          pipeline.transform_row(preprocess::make_query_features(
+              static_cast<double>(shape.m), static_cast<double>(shape.k),
+              static_cast<double>(shape.n), static_cast<double>(grid[t]), op,
+              variant, width));
+      double pred = base_;
+      for (const Tree& tree : trees_) pred += walk(tree, row, 0);
+      if (t == 0 || pred < best_pred) {
+        best_pred = pred;
+        best = t;
+      }
+    }
+    return grid[best];
+  }
+
+ private:
+  struct Tree {
+    std::vector<double> feature, threshold, value, left, right;
+  };
+
+  static Tree parse(const Json& tree) {
+    return {tree.at("feature").to_doubles(), tree.at("threshold").to_doubles(),
+            tree.at("value").to_doubles(), tree.at("left").to_doubles(),
+            tree.at("right").to_doubles()};
+  }
+
+  static double walk(const Tree& tree, const std::vector<double>& x,
+                     std::size_t node) {
+    if (tree.feature[node] < 0) return tree.value[node];
+    const bool go_left = x[static_cast<std::size_t>(tree.feature[node])] <=
+                         tree.threshold[node];
+    return walk(tree, x,
+                static_cast<std::size_t>(go_left ? tree.left[node]
+                                                 : tree.right[node]));
+  }
+
+  const AdsalaGemm& runtime_;
+  double base_ = 0.0;
+  std::vector<Tree> trees_;
+};
+
+/// 5 ops x 2 precisions x 2000 seeded shapes through select_threads, each
+/// against the oracle's argmin.
+void expect_decisions_match_oracle(const AdsalaGemm& runtime) {
+  const DecisionOracle oracle(runtime);
+  Rng rng(2026);
+  // Log-uniform dims over [1, 4096]: small and large shapes alike.
+  const auto dim = [&] {
+    return static_cast<long>(std::exp(rng.uniform(0.0, std::log(4096.0))));
+  };
+  for (const blas::OpKind op : blas::all_ops()) {
+    for (const int elem : {4, 8}) {
+      for (int i = 0; i < 2000; ++i) {
+        const long x = dim(), y = dim(), z = dim();
+        ASSERT_EQ(runtime.select_threads(op, x, y, z, elem),
+                  oracle.select(op, x, y, z, elem))
+            << blas::op_name(op) << " " << x << "x" << y << "x" << z
+            << " elem=" << elem;
+      }
+    }
+  }
+}
+
+TEST(AdsalaGemm, FrozenTinyArtefactDecisionsMatchOracle) {
+  const std::string dir = ADSALA_TINY_ARTIFACTS_DIR;
+  auto loaded =
+      AdsalaGemm::try_load(dir + "/model.json", dir + "/config.json");
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  ASSERT_EQ(loaded.value().model_name(), "decision_tree");
+  expect_decisions_match_oracle(loaded.value());
+}
+
+TEST(AdsalaGemm, FreshXgboostDecisionsMatchOracle) {
+  expect_decisions_match_oracle(op_aware_runtime());
 }
 
 TEST(AdsalaGemm, SelectThreadsMemoisesLastQuery) {
@@ -620,7 +735,7 @@ TEST(AdsalaGemm, SelectThreadsMemoisesLastQuery) {
   // at fit time, so the runtime must not claim operation awareness (syrk
   // queries reduce to the GEMM proxy).
   EXPECT_FALSE(adsala.op_aware());
-  EXPECT_EQ(adsala.select_threads_syrk(100, 200),
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kSyrk, 100, 200),
             adsala.select_threads(100, 200, 100));
 }
 

@@ -294,6 +294,65 @@ TEST_F(ArtefactCorpus, UnknownSchemaWidthRejected) {
       << result.error().message;
 }
 
+// Tree structure is checked when the model loads: the corpus model is a
+// decision tree, whose nodes are parallel arrays at the blob's top level.
+TEST_F(ArtefactCorpus, TreeChildOutOfRangeRejected) {
+  auto [model, config] = scratch_copy("child_out_of_range");
+  rewrite_json(model, [](Json& doc) {
+    const auto n = static_cast<int>(doc["left"].as_array().size());
+    ASSERT_GE(doc["feature"].as_array()[0].as_int(), 0) << "root is a leaf";
+    doc["left"].as_array()[0] = Json(n + 5);
+  });
+  const auto result = AdsalaGemm::try_load(model, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kValidationError);
+  EXPECT_NE(result.error().message.find("out of range"), std::string::npos)
+      << result.error().message;
+}
+
+TEST_F(ArtefactCorpus, TreeCycleRejected) {
+  auto [model, config] = scratch_copy("tree_cycle");
+  rewrite_json(model, [](Json& doc) {
+    // The last split node points back at the root.
+    const JsonArray& features = doc["feature"].as_array();
+    std::size_t last_split = 0;
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      if (features[i].as_int() >= 0) last_split = i;
+    }
+    doc["right"].as_array()[last_split] = Json(0);
+  });
+  const auto result = AdsalaGemm::try_load(model, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kValidationError);
+  EXPECT_NE(result.error().message.find("reachable twice"), std::string::npos)
+      << result.error().message;
+}
+
+TEST_F(ArtefactCorpus, TreeFeatureBeyondKeptWidthRejected) {
+  auto [model, config] = scratch_copy("feature_out_of_range");
+  const auto kept = static_cast<int>(
+      read_json_file(config).at("pipeline").at("keep").as_array().size());
+  rewrite_json(model, [&](Json& doc) {
+    ASSERT_GE(doc["feature"].as_array()[0].as_int(), 0) << "root is a leaf";
+    doc["feature"].as_array()[0] = Json(kept);
+  });
+  const auto result = AdsalaGemm::try_load(model, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kValidationError);
+  EXPECT_NE(result.error().message.find("pipeline keeps"), std::string::npos)
+      << result.error().message;
+}
+
+TEST_F(ArtefactCorpus, KeptColumnBeyondInputWidthRejected) {
+  auto [model, config] = scratch_copy("keep_out_of_range");
+  rewrite_json(config, [](Json& doc) {
+    Json& pipe = doc["pipeline"];
+    const auto width = pipe["feature_names"].as_array().size();
+    pipe["keep"].as_array().back() = Json(width);
+  });
+  EXPECT_EQ(load_error(model, config), ErrorCode::kValidationError);
+}
+
 TEST_F(ArtefactCorpus, UnknownFormatStampRejected) {
   auto [model, config] = scratch_copy("bad_stamp");
   rewrite_json(config,
@@ -763,6 +822,20 @@ TEST_F(ShmRegion, StampMismatchInRegionIsValidationError) {
   auto result = AdsalaGemm::try_attach(path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kValidationError);
+}
+
+TEST_F(ShmRegion, TreeCycleInRegionIsValidationError) {
+  // The same tree-structure check guards try_attach: a root that is its
+  // own child is rejected when the region's model compiles.
+  auto [model, config] = scratch_copy("shm_cycle");
+  rewrite_json(model,
+               [](Json& doc) { doc["left"].as_array()[0] = Json(0); });
+  const std::string path = *dir_ + "/region_cycle";
+  ASSERT_TRUE(publish_shm_region(path, slurp(model), slurp(config)).ok());
+  auto result = AdsalaGemm::try_attach(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kValidationError)
+      << result.error().message;
 }
 
 // ------------------------------------------------- daemon protocol hardening

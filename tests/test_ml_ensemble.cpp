@@ -2,8 +2,12 @@
 // GBT, LightGBM-style histogram GBT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "ml/adaboost.h"
 #include "ml/forest.h"
@@ -260,6 +264,115 @@ TEST_P(EnsembleEdgeTest, RegistryRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, EnsembleEdgeTest,
+                         ::testing::Values("random_forest", "adaboost",
+                                           "xgboost", "lightgbm"));
+
+// ------------------------------------------- flat evaluator vs an oracle
+
+/// One tree of a saved ensemble, walked recursively:
+/// `x <= threshold ? left : right` down to a leaf.
+double oracle_tree(const Json& tree, std::span<const double> x,
+                   int node = 0) {
+  const auto at = [&](const char* key) -> const Json& {
+    return tree.at(key).as_array()[static_cast<std::size_t>(node)];
+  };
+  const int feature = at("feature").as_int();
+  if (feature < 0) return at("value").as_number();
+  const bool go_left =
+      x[static_cast<std::size_t>(feature)] <= at("threshold").as_number();
+  return oracle_tree(tree, x, (go_left ? at("left") : at("right")).as_int());
+}
+
+/// The reference prediction of a saved ensemble, each model's combine step
+/// written out plainly: boosted sums from base_score in tree order, the
+/// forest's mean, AdaBoost.R2's weighted median.
+double oracle(const Json& blob, std::span<const double> x) {
+  const std::string name = blob.at("model").as_string();
+  const JsonArray& trees = blob.at("trees").as_array();
+  if (name == "xgboost" || name == "lightgbm") {
+    double acc = blob.at("base_score").as_number();
+    for (const Json& tree : trees) acc += oracle_tree(tree, x);
+    return acc;
+  }
+  if (name == "random_forest") {
+    double sum = 0.0;
+    for (const Json& tree : trees) sum += oracle_tree(tree, x);
+    return sum / static_cast<double>(trees.size());
+  }
+  const std::vector<double> weights = blob.at("beta_log").to_doubles();
+  std::vector<std::pair<double, double>> pred;
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    pred.emplace_back(oracle_tree(trees[t], x), weights[t]);
+  }
+  std::sort(pred.begin(), pred.end());
+  double total = 0.0;
+  for (const auto& [p, w] : pred) total += w;
+  double acc = 0.0;
+  for (const auto& [p, w] : pred) {
+    acc += w;
+    if (acc >= 0.5 * total) return p;
+  }
+  return pred.back().first;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// n_rows rows of the surface's three columns, every fifth value replaced
+/// by NaN, +inf or -inf in turn.
+std::vector<double> probe_rows(std::size_t n_rows, std::uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::nan(""), kInf, -kInf};
+  Rng rng(seed);
+  std::vector<double> rows(n_rows * 3);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = i % 5 == 4 ? specials[(i / 5) % 3] : rng.uniform(-3.0, 3.0);
+  }
+  return rows;
+}
+
+void expect_matches_oracle(const Regressor& model) {
+  const Json saved = model.save();
+  for (const std::size_t n_rows : {1u, 4u, 17u, 65u}) {
+    const std::vector<double> rows = probe_rows(n_rows, 100 + n_rows);
+    std::vector<double> grid(n_rows);
+    model.predict_grid(rows, n_rows, grid);
+    for (std::size_t g = 0; g < n_rows; ++g) {
+      const std::span<const double> x(rows.data() + g * 3, 3);
+      const double want = oracle(saved, x);
+      EXPECT_TRUE(same_bits(model.predict_one(x), want))
+          << model.name() << " G=" << n_rows << " g=" << g;
+      EXPECT_TRUE(same_bits(grid[g], want))
+          << model.name() << " G=" << n_rows << " g=" << g;
+    }
+  }
+}
+
+class FlatEvaluatorTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FlatEvaluatorTest, FittedAndReloadedModelsMatchTheOracle) {
+  auto model = make_model(GetParam(), {{"n_estimators", 40}});
+  model->fit(make_surface(300, 23, 0.2));
+  expect_matches_oracle(*model);
+
+  const std::string text = model->save().dump();
+  auto restored = load_model(Json::parse(text));
+  expect_matches_oracle(*restored);
+  EXPECT_EQ(restored->save().dump(), text) << "save() must survive a load";
+}
+
+TEST_P(FlatEvaluatorTest, DatasetPredictionMatchesPredictOne) {
+  auto model = make_model(GetParam(), {{"n_estimators", 20}});
+  const Dataset data = make_surface(200, 24);
+  model->fit(data);
+  const std::vector<double> batch = model->predict(data);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_TRUE(same_bits(batch[i], model->predict_one(data.row(i))));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, FlatEvaluatorTest,
                          ::testing::Values("random_forest", "adaboost",
                                            "xgboost", "lightgbm"));
 

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "ml/metrics.h"
 #include "ml/tree.h"
@@ -191,6 +194,115 @@ TEST_P(TreePropertyTest, TreeStructureIsValid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TreePropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// ------------------------------------------- flat evaluator vs an oracle
+
+/// The reference the flat evaluator must match: a recursive
+/// `x <= threshold ? left : right` descent over the saved JSON arrays.
+double oracle(const Json& tree, std::span<const double> x, int node = 0) {
+  const auto at = [&](const char* key) -> const Json& {
+    return tree.at(key).as_array()[static_cast<std::size_t>(node)];
+  };
+  const int feature = at("feature").as_int();
+  if (feature < 0) return at("value").as_number();
+  const bool go_left =
+      x[static_cast<std::size_t>(feature)] <= at("threshold").as_number();
+  return oracle(tree, x, (go_left ? at("left") : at("right")).as_int());
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// n_rows random rows of `width` columns, every fifth value replaced by
+/// NaN, +inf or -inf in turn.
+std::vector<double> probe_rows(std::size_t n_rows, std::size_t width,
+                               std::uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::nan(""), kInf, -kInf};
+  Rng rng(seed);
+  std::vector<double> rows(n_rows * width);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = i % 5 == 4 ? specials[(i / 5) % 3] : rng.uniform(-4.0, 4.0);
+  }
+  return rows;
+}
+
+/// predict_one and predict_grid over G in {1, 4, 17, 65} against the
+/// oracle on the tree's own save(), bit for bit.
+void expect_matches_oracle(const DecisionTree& tree, std::size_t width) {
+  const Json saved = tree.save();
+  for (const std::size_t n_rows : {1u, 4u, 17u, 65u}) {
+    const std::vector<double> rows = probe_rows(n_rows, width, n_rows);
+    std::vector<double> grid(n_rows);
+    tree.predict_grid(rows, n_rows, grid);
+    for (std::size_t g = 0; g < n_rows; ++g) {
+      const std::span<const double> x(rows.data() + g * width, width);
+      const double want = oracle(saved, x);
+      EXPECT_TRUE(same_bits(tree.predict_one(x), want)) << "G=" << n_rows;
+      EXPECT_TRUE(same_bits(grid[g], want)) << "G=" << n_rows << " g=" << g;
+    }
+  }
+}
+
+TEST(FlatEvaluator, FittedAndReloadedTreesMatchTheOracle) {
+  const Dataset data = noisy_surface(400, 17, 0.3);
+  for (const double depth : {0.0, 3.0, 12.0}) {
+    DecisionTree tree({{"max_depth", depth}});
+    tree.fit(data);
+    expect_matches_oracle(tree, data.n_features());
+    const std::string text = tree.save().dump();
+    DecisionTree restored;
+    restored.load(Json::parse(text));
+    expect_matches_oracle(restored, data.n_features());
+    EXPECT_EQ(restored.save().dump(), text) << "save() must survive a load";
+  }
+}
+
+/// A hand-written tree whose children are neither adjacent nor in BFS
+/// order: root 0 splits to 5 / 2, node 5 to 1 / 3, node 2 to 6 / 4.
+Json scrambled_tree() {
+  Json tree;
+  tree["model"] = Json("decision_tree");
+  tree["params"] = Json(JsonObject{});
+  const auto ints = [](std::initializer_list<int> xs) {
+    JsonArray out;
+    for (int x : xs) out.emplace_back(x);
+    return Json(std::move(out));
+  };
+  tree["feature"] = ints({1, -1, 0, -1, -1, 0, -1});
+  tree["threshold"] = Json::from_doubles({0.5, 0, -1.0, 0, 0, 2.0, 0});
+  tree["value"] = Json::from_doubles({0, 10, 0, 30, 40, 0, -0.0});
+  tree["left"] = ints({5, -1, 6, -1, -1, 1, -1});
+  tree["right"] = ints({2, -1, 4, -1, -1, 3, -1});
+  return tree;
+}
+
+TEST(FlatEvaluator, ScrambledNodeOrderMatchesTheOracle) {
+  DecisionTree tree;
+  tree.load(scrambled_tree());
+  expect_matches_oracle(tree, 2);
+  // save() writes the nodes as stored, not in the flat form's BFS order.
+  for (const char* key : {"feature", "threshold", "value", "left", "right"}) {
+    EXPECT_EQ(tree.save().at(key).dump(), scrambled_tree().at(key).dump());
+  }
+  // The -0.0 leaf keeps its sign through the flat form.
+  EXPECT_TRUE(same_bits(tree.predict_one(std::vector<double>{-2.0, 1.0}),
+                        -0.0));
+}
+
+TEST(FlatEvaluator, MalformedTreesAreRejectedAtLoad) {
+  const auto load_with = [](const char* key, std::size_t node, int value) {
+    Json blob = scrambled_tree();
+    blob[key].as_array()[node] = Json(value);
+    DecisionTree tree;
+    tree.load(blob);
+  };
+  EXPECT_THROW(load_with("left", 0, 7), std::invalid_argument);   // range
+  EXPECT_THROW(load_with("right", 2, -3), std::invalid_argument);  // range
+  EXPECT_THROW(load_with("left", 5, 0), std::invalid_argument);   // cycle
+  EXPECT_THROW(load_with("right", 2, 3), std::invalid_argument);  // shared
+}
 
 }  // namespace
 }  // namespace adsala::ml
