@@ -9,8 +9,11 @@
 // GFLOPS_avx2 / GFLOPS_avx512 / ratio counters (the avx512-vs-avx2 headline
 // number at 1024^3 fp32) and BM_SgemmSmallRepeat tracks the repeated-
 // small-GEMM regime the PackArena + spin-wait fork/join changes target.
+// BM_TrsmDiagSolve times each variant's TRSM diagonal-block solve
+// (KernelSet::trsm_solve) alone, outside the trailing GEMM updates.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -220,6 +223,40 @@ void BM_DgemmSquare(benchmark::State& state, kernels::Variant variant) {
       benchmark::Counter::kIsRate);
 }
 
+template <typename T>
+void BM_TrsmDiagSolve(benchmark::State& state, kernels::Variant variant) {
+  // Every diagonal block a forward trsm of this (n, m) solves, at the nb
+  // trsm resolves for the variant's default blocking, without the trailing
+  // GEMM updates between them. A is the identity, so repeated in-place
+  // solves leave B unchanged (no drift toward denormals) while running the
+  // same instructions over the same memory as any other triangle.
+  const auto n = static_cast<int>(state.range(0));
+  const auto m = static_cast<int>(state.range(1));
+  const auto& ks = kernels::kernel_set<T>(variant);
+  const int nb = std::clamp(ks.kc / 4, 16, 256);
+  AlignedBuffer<T> a(static_cast<std::size_t>(n) * n);
+  AlignedBuffer<T> b(static_cast<std::size_t>(n) * m);
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = T(0);
+  for (int i = 0; i < n; ++i) a[static_cast<std::size_t>(i) * n + i] = T(1);
+  fill_random(b, 15);
+  double flops = 0.0;
+  for (int j0 = 0; j0 < n; j0 += nb) {
+    const int rows = std::min(nb, n - j0);
+    flops += static_cast<double>(rows) * rows * m;
+  }
+  for (auto _ : state) {
+    for (int j0 = 0; j0 < n; j0 += nb) {
+      ks.trsm_solve(/*forward=*/true, /*unit_diag=*/false, j0,
+                    std::min(j0 + nb, n), m, a.data(), n, 1, b.data(), m);
+    }
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
 /// Element-wise check of one variant against the naive reference at a size
 /// where plain 1e-4 / 1e-10 absolute tolerances are meaningful for the
 /// accumulation length (k = 256).
@@ -296,6 +333,18 @@ int main(int argc, char** argv) {
                                  BM_SgemmSmallRepeat, variant)
         ->Unit(benchmark::kMicrosecond)
         ->MinTime(0.5);
+    // Two paper_mix-sized TRSM shapes whose time is mostly the diagonal
+    // solve (n <= 2 nb, m ~ 12k), plus one small square solve.
+    const std::string trsm_name = "BM_TrsmDiagSolve/" + suffix;
+    benchmark::RegisterBenchmark((trsm_name + "/f64").c_str(),
+                                 BM_TrsmDiagSolve<double>, variant)
+        ->Args({125, 13001})
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark((trsm_name + "/f32").c_str(),
+                                 BM_TrsmDiagSolve<float>, variant)
+        ->Args({223, 12004})
+        ->Args({100, 100})
+        ->Unit(benchmark::kMicrosecond);
   }
   if (kernels::cpu_supports_avx512()) {
     benchmark::RegisterBenchmark("BM_KernelTierRatio1024",

@@ -200,6 +200,7 @@ KernelSet<float> avx2_kernel_set_f32() {
   set.name = "avx2";
   set.full = &sgemm_6x16_full;
   set.edge = &sgemm_6x16_edge;
+  set.trsm_solve = &avx2_trsm_solve<float>;
   return set;
 }
 
@@ -213,6 +214,7 @@ KernelSet<double> avx2_kernel_set_f64() {
   set.name = "avx2";
   set.full = &dgemm_6x8_full;
   set.edge = &dgemm_6x8_edge;
+  set.trsm_solve = &avx2_trsm_solve<double>;
   return set;
 }
 

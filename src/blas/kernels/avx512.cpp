@@ -236,6 +236,7 @@ KernelSet<float> avx512_kernel_set_f32() {
   set.name = "avx512";
   set.full = &sgemm_14x32_full;
   set.edge = &sgemm_14x32_edge;
+  set.trsm_solve = &avx512_trsm_solve<float>;
   return set;
 }
 
@@ -249,6 +250,7 @@ KernelSet<double> avx512_kernel_set_f64() {
   set.name = "avx512";
   set.full = &dgemm_14x16_full;
   set.edge = &dgemm_14x16_edge;
+  set.trsm_solve = &avx512_trsm_solve<double>;
   return set;
 }
 

@@ -38,6 +38,7 @@ KernelSet<T> generic_kernel_set() {
   set.name = "generic";
   set.full = &generic_full<T>;
   set.edge = &generic_edge<T>;
+  set.trsm_solve = &generic_trsm_solve<T>;
   return set;
 }
 

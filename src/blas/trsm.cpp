@@ -17,41 +17,6 @@ inline T op_a(const T* a, long lda, Trans trans, int i, int p) {
   return trans == Trans::kNo ? a[i * lda + p] : a[p * lda + i];
 }
 
-/// In-place substitution over the diagonal block rows [j0, j1) of B, forward
-/// (effective-lower op(A)) or backward (effective-upper). Sequential by
-/// nature: row i depends on every previously solved row of the block.
-template <typename T>
-void solve_diag_block(Trans trans, Diag diag, int j0, int j1, int m,
-                      const T* a, long lda, T* b, long ldb, bool forward) {
-  if (forward) {
-    for (int i = j0; i < j1; ++i) {
-      T* row_i = b + i * ldb;
-      for (int p = j0; p < i; ++p) {
-        const T f = op_a(a, lda, trans, i, p);
-        const T* row_p = b + p * ldb;
-        for (int c = 0; c < m; ++c) row_i[c] -= f * row_p[c];
-      }
-      if (diag == Diag::kNonUnit) {
-        const T d = op_a(a, lda, trans, i, i);
-        for (int c = 0; c < m; ++c) row_i[c] /= d;
-      }
-    }
-  } else {
-    for (int i = j1 - 1; i >= j0; --i) {
-      T* row_i = b + i * ldb;
-      for (int p = i + 1; p < j1; ++p) {
-        const T f = op_a(a, lda, trans, i, p);
-        const T* row_p = b + p * ldb;
-        for (int c = 0; c < m; ++c) row_i[c] -= f * row_p[c];
-      }
-      if (diag == Diag::kNonUnit) {
-        const T d = op_a(a, lda, trans, i, i);
-        for (int c = 0; c < m; ++c) row_i[c] /= d;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 template <typename T>
@@ -81,19 +46,25 @@ void trsm(Uplo uplo, Trans trans, Diag diag, int n, int m, T alpha,
   // stay a sliver of the total work, large enough that the trailing GEMM
   // updates run at the panel depth the dispatched micro-kernel's blocking
   // resolves to (tuning.kc may be 0 = kernel-preferred, so resolve first).
-  const auto geom =
-      detail::block_geometry(kernels::kernel_set<T>(tuning.variant), tuning);
+  const auto& ks = kernels::kernel_set<T>(tuning.variant);
+  const auto geom = detail::block_geometry(ks, tuning);
   const int nb = std::clamp(geom.kc / 4, 16, 256);
 
-  // Blocked substitution: solve one diagonal block sequentially, then fold
-  // its solution into every remaining row with one multi-threaded GEMM
-  // (eager trailing update). trsm itself never opens a parallel region, so
-  // the non-reentrant pool is only entered through gemm / scale_b.
+  // op(A)(i, p) = a[i * a_rs + p * a_cs] for the dispatched diagonal solve.
+  const long a_rs = trans == Trans::kNo ? lda : 1;
+  const long a_cs = trans == Trans::kNo ? 1 : lda;
+  const bool unit_diag = diag == Diag::kUnit;
+
+  // Blocked substitution: solve one diagonal block on the caller's thread
+  // with the dispatched tier's trsm_solve, then fold its solution into every
+  // remaining row with one multi-threaded GEMM (eager trailing update). trsm
+  // itself never opens a parallel region, so the non-reentrant pool is only
+  // entered through gemm / scale_b.
   if (forward) {
     for (int j0 = 0; j0 < n; j0 += nb) {
       const int j1 = std::min(j0 + nb, n);
-      solve_diag_block(trans, diag, j0, j1, m, a, static_cast<long>(lda), b,
-                       static_cast<long>(ldb), /*forward=*/true);
+      ks.trsm_solve(/*forward=*/true, unit_diag, j0, j1, m, a, a_rs, a_cs, b,
+                    ldb);
       if (j1 < n) {
         // B[j1:n) -= op(A)[j1:n, j0:j1) * B[j0:j1).
         const T* a_sub = trans == Trans::kNo
@@ -107,8 +78,8 @@ void trsm(Uplo uplo, Trans trans, Diag diag, int n, int m, T alpha,
   } else {
     for (int j1 = n; j1 > 0; j1 -= nb) {
       const int j0 = std::max(0, j1 - nb);
-      solve_diag_block(trans, diag, j0, j1, m, a, static_cast<long>(lda), b,
-                       static_cast<long>(ldb), /*forward=*/false);
+      ks.trsm_solve(/*forward=*/false, unit_diag, j0, j1, m, a, a_rs, a_cs, b,
+                    ldb);
       if (j0 > 0) {
         // B[0:j0) -= op(A)[0:j0, j0:j1) * B[j0:j1).
         const T* a_sub = trans == Trans::kNo

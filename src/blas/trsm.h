@@ -13,9 +13,10 @@
 // updated with a rank-nb GEMM on the packed micro-kernel path — so the bulk
 // of the FLOPs run through the same runtime-dispatched KernelSet as GEMM,
 // and the thread-count knob shapes the same packing/sync trade-offs the ML
-// model learns. The diagonal solves themselves are inherently sequential
-// (each block depends on every block before it), which is exactly why the
-// TRSM optimum sits at fewer threads than the equivalent GEMM.
+// model learns. The diagonal solves run on the dispatched tier too
+// (KernelSet::trsm_solve) but are inherently sequential (each block depends
+// on every block before it), which is exactly why the TRSM optimum sits at
+// fewer threads than the equivalent GEMM.
 #pragma once
 
 #include "blas/gemm.h"

@@ -19,8 +19,9 @@ struct InstallOptions {
   bool save_raw_csv = true;      ///< also dump gathered timings (timings.csv)
   /// When non-empty, skip the timing campaign and train from this previously
   /// saved timings.csv instead. This is how an expensive native-host gather
-  /// (e.g. bench_native_host's) is re-trained without re-timing: one
-  /// install() call turns an existing CSV into fresh runtime artefacts.
+  /// (e.g. the end-to-end benchmark's committed timings) is re-trained
+  /// without re-timing: one install() call turns an existing CSV into fresh
+  /// runtime artefacts.
   std::string reuse_timings_csv;
   /// When non-empty, also publish the write-then-verified artefact bytes
   /// into a shared-memory region at this path (core/shm_store.h), so every

@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "blas/gemm.h"
 #include "blas/kernels/dispatch.h"
+#include "blas/level3_common.h"
 #include "blas/op.h"
 #include "blas/symm.h"
 #include "blas/syrk.h"
@@ -455,6 +458,138 @@ TEST_P(KernelVariantTest, TrsmCrossesBlockBoundaries) {
                                         Diag::kUnit, 61, 43, 1.0, 4, tuning);
 }
 
+// The blocked solver as it was before the diagonal solve moved into the
+// KernelSet: same nb, the scalar in-place substitution, and the same
+// trailing gemm<T> calls with the same tuning. Its output is the bit-exact
+// oracle for trsm on every kernel variant (this file is compiled with
+// -ffp-contract=off, so the scalar loop rounds each product like the
+// kernels do).
+template <typename T>
+void scalar_solve_diag_block(Trans trans, Diag diag, int j0, int j1, int m,
+                             const T* a, long lda, T* b, long ldb,
+                             bool forward) {
+  const auto op_a = [&](int i, int p) {
+    return trans == Trans::kNo ? a[i * lda + p] : a[p * lda + i];
+  };
+  const auto update = [&](int i, int p) {
+    const T f = op_a(i, p);
+    T* row_i = b + i * ldb;
+    const T* row_p = b + p * ldb;
+    for (int c = 0; c < m; ++c) row_i[c] -= f * row_p[c];
+  };
+  const auto divide = [&](int i) {
+    if (diag == Diag::kUnit) return;
+    const T d = op_a(i, i);
+    T* row_i = b + i * ldb;
+    for (int c = 0; c < m; ++c) row_i[c] /= d;
+  };
+  if (forward) {
+    for (int i = j0; i < j1; ++i) {
+      for (int p = j0; p < i; ++p) update(i, p);
+      divide(i);
+    }
+  } else {
+    for (int i = j1 - 1; i >= j0; --i) {
+      for (int p = i + 1; p < j1; ++p) update(i, p);
+      divide(i);
+    }
+  }
+}
+
+template <typename T>
+void scalar_blocked_trsm(Uplo uplo, Trans trans, Diag diag, int n, int m,
+                         T alpha, const T* a, int lda, T* b, int ldb,
+                         int nthreads, const GemmTuning& tuning) {
+  if (n == 0 || m == 0) return;
+  if (alpha != T(1)) {
+    for (int i = 0; i < n; ++i) {
+      T* row = b + static_cast<long>(i) * ldb;
+      for (int c = 0; c < m; ++c) {
+        row[c] = alpha == T(0) ? T(0) : row[c] * alpha;
+      }
+    }
+  }
+  if (alpha == T(0)) return;
+  const bool forward = (uplo == Uplo::kLower) == (trans == Trans::kNo);
+  const auto geom =
+      detail::block_geometry(kernels::kernel_set<T>(tuning.variant), tuning);
+  const int nb = std::clamp(geom.kc / 4, 16, 256);
+  if (forward) {
+    for (int j0 = 0; j0 < n; j0 += nb) {
+      const int j1 = std::min(j0 + nb, n);
+      scalar_solve_diag_block(trans, diag, j0, j1, m, a, lda, b, ldb, true);
+      if (j1 < n) {
+        const T* a_sub = trans == Trans::kNo
+                             ? a + static_cast<long>(j1) * lda + j0
+                             : a + static_cast<long>(j0) * lda + j1;
+        gemm<T>(trans, Trans::kNo, n - j1, m, j1 - j0, T(-1), a_sub, lda,
+                b + static_cast<long>(j0) * ldb, ldb, T(1),
+                b + static_cast<long>(j1) * ldb, ldb, nthreads, tuning);
+      }
+    }
+  } else {
+    for (int j1 = n; j1 > 0; j1 -= nb) {
+      const int j0 = std::max(0, j1 - nb);
+      scalar_solve_diag_block(trans, diag, j0, j1, m, a, lda, b, ldb, false);
+      if (j0 > 0) {
+        const T* a_sub =
+            trans == Trans::kNo ? a + j0 : a + static_cast<long>(j0) * lda;
+        gemm<T>(trans, Trans::kNo, j0, m, j1 - j0, T(-1), a_sub, lda,
+                b + static_cast<long>(j0) * ldb, ldb, T(1), b, ldb, nthreads,
+                tuning);
+      }
+    }
+  }
+}
+
+template <typename T>
+void expect_trsm_bit_identical_to_scalar_solver(kernels::Variant variant) {
+  GemmTuning tuning;
+  tuning.variant = variant;
+  const T alphas[] = {T(1), T(-0.5), T(0)};
+  int flags = 0;
+  for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+    for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+      for (const Diag diag : {Diag::kNonUnit, Diag::kUnit}) {
+        ++flags;
+        int shape = 0;
+        for (const int n : {1, 15, 16, 17, 127, 128, 129, 300}) {
+          auto a = random_matrix<T>(n, n, 21);
+          for (int i = 0; i < n; ++i) a[i * n + i] = T(n + 2);
+          for (const int m : {1, 15, 16, 17, 63, 64, 65, 1000}) {
+            // alpha and the thread count rotate with the flag combination,
+            // so across the eight combinations every (n, m) meets all three
+            // alphas and all four thread counts.
+            const T alpha = alphas[(flags + shape) % 3];
+            const int threads = 1 + (flags + shape) % 4;
+            ++shape;
+            auto b = random_matrix<T>(n, m, 22);
+            auto b_ref = b;
+            trsm<T>(uplo, trans, diag, n, m, alpha, a.data(), n, b.data(), m,
+                    threads, tuning);
+            scalar_blocked_trsm<T>(uplo, trans, diag, n, m, alpha, a.data(), n,
+                                   b_ref.data(), m, threads, tuning);
+            ASSERT_EQ(std::memcmp(b.data(), b_ref.data(), b.size() * sizeof(T)),
+                      0)
+                << "uplo=" << static_cast<int>(uplo)
+                << " trans=" << static_cast<int>(trans)
+                << " diag=" << static_cast<int>(diag) << " n=" << n
+                << " m=" << m << " alpha=" << alpha << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, TrsmBitIdenticalToScalarSolverFloat) {
+  expect_trsm_bit_identical_to_scalar_solver<float>(GetParam());
+}
+
+TEST_P(KernelVariantTest, TrsmBitIdenticalToScalarSolverDouble) {
+  expect_trsm_bit_identical_to_scalar_solver<double>(GetParam());
+}
+
 template <typename T>
 void expect_symm_matches_reference(Uplo uplo, int n, int m, T alpha, T beta,
                                    int nthreads, const GemmTuning& tuning) {
@@ -597,6 +732,163 @@ TEST_P(KernelVariantTest, TrmmAlphaZeroZeroesB) {
                                        tuning);
   expect_trmm_matches_reference<double>(Uplo::kUpper, Trans::kNo,
                                         Diag::kUnit, 9, 13, 0.0, 2, tuning);
+}
+
+// ------------------------------------------------------ padded strides --
+// Every op called with each leading dimension 7 past the tight one, the
+// padding filled with a NaN sentinel: the padding bytes must come back
+// unchanged (masked tails and fringe write-backs are where an overrun would
+// land), and the result must be bitwise equal to the tight-stride call (a
+// sentinel read into the arithmetic would show as NaN).
+
+inline constexpr int kLdPad = 7;
+
+/// Copies a tight rows x cols matrix into rows x (cols + kLdPad) storage
+/// whose padding holds the NaN sentinel.
+template <typename T>
+std::vector<T> padded_copy(const std::vector<T>& tight, int rows, int cols) {
+  const int ld = cols + kLdPad;
+  std::vector<T> out(static_cast<std::size_t>(rows) * ld,
+                     std::numeric_limits<T>::quiet_NaN());
+  for (int i = 0; i < rows; ++i) {
+    std::copy_n(tight.begin() + static_cast<long>(i) * cols, cols,
+                out.begin() + static_cast<long>(i) * ld);
+  }
+  return out;
+}
+
+template <typename T>
+void expect_padded_matches_tight(const std::vector<T>& padded,
+                                 const std::vector<T>& tight, int rows,
+                                 int cols, const char* what) {
+  const int ld = cols + kLdPad;
+  const T sentinel = std::numeric_limits<T>::quiet_NaN();
+  for (int i = 0; i < rows; ++i) {
+    const T* row = padded.data() + static_cast<long>(i) * ld;
+    ASSERT_EQ(std::memcmp(row, tight.data() + static_cast<long>(i) * cols,
+                          cols * sizeof(T)),
+              0)
+        << what << ": row " << i << " differs from the tight-stride call";
+    for (int j = cols; j < ld; ++j) {
+      ASSERT_EQ(std::memcmp(row + j, &sentinel, sizeof(T)), 0)
+          << what << ": padding overwritten at (" << i << ", " << j << ")";
+    }
+  }
+}
+
+template <typename T>
+void expect_padded_strides_are_inert(const GemmTuning& tuning) {
+  constexpr int kThreads = 3;
+  for (const auto [n, m] : {std::tuple{1, 1}, std::tuple{17, 33},
+                            std::tuple{130, 65}}) {
+    const auto a = random_matrix<T>(n, n, 31);
+    const auto a_pad = padded_copy(a, n, n);
+    const auto b = random_matrix<T>(n, m, 32);
+    const auto b_pad = padded_copy(b, n, m);
+    const int lda = n + kLdPad;
+    const int ldb = m + kLdPad;
+    for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+      {  // gemm: op(A) n x n times B n x m into C n x m.
+        auto c = random_matrix<T>(n, m, 33);
+        auto c_pad = padded_copy(c, n, m);
+        gemm<T>(trans, Trans::kNo, n, m, n, T(1.5), a.data(), n, b.data(), m,
+                T(-1), c.data(), m, kThreads, tuning);
+        gemm<T>(trans, Trans::kNo, n, m, n, T(1.5), a_pad.data(), lda,
+                b_pad.data(), ldb, T(-1), c_pad.data(), ldb, kThreads, tuning);
+        expect_padded_matches_tight(c_pad, c, n, m, "gemm");
+      }
+      for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+        {  // syrk: A n x n (either orientation) into C n x n.
+          auto c = random_matrix<T>(n, n, 34);
+          auto c_pad = padded_copy(c, n, n);
+          syrk<T>(uplo, trans, n, n, T(0.5), a.data(), n, T(2), c.data(), n,
+                  kThreads, tuning);
+          syrk<T>(uplo, trans, n, n, T(0.5), a_pad.data(), lda, T(2),
+                  c_pad.data(), lda, kThreads, tuning);
+          expect_padded_matches_tight(c_pad, c, n, n, "syrk");
+        }
+        {  // symm: the stored triangle of A times B into C n x m.
+          auto c = random_matrix<T>(n, m, 35);
+          auto c_pad = padded_copy(c, n, m);
+          symm<T>(uplo, n, m, T(1), a.data(), n, b.data(), m, T(1), c.data(),
+                  m, kThreads, tuning);
+          symm<T>(uplo, n, m, T(1), a_pad.data(), lda, b_pad.data(), ldb,
+                  T(1), c_pad.data(), ldb, kThreads, tuning);
+          expect_padded_matches_tight(c_pad, c, n, m, "symm");
+        }
+        for (const Diag diag : {Diag::kNonUnit, Diag::kUnit}) {
+          auto x = b;
+          auto x_pad = b_pad;
+          trmm<T>(uplo, trans, diag, n, m, T(1), a.data(), n, x.data(), m,
+                  kThreads, tuning);
+          trmm<T>(uplo, trans, diag, n, m, T(1), a_pad.data(), lda,
+                  x_pad.data(), ldb, kThreads, tuning);
+          expect_padded_matches_tight(x_pad, x, n, m, "trmm");
+
+          // trsm needs a well-conditioned triangle.
+          auto ad = a;
+          for (int i = 0; i < n; ++i) ad[i * n + i] = T(n + 2);
+          const auto ad_pad = padded_copy(ad, n, n);
+          x = b;
+          x_pad = b_pad;
+          trsm<T>(uplo, trans, diag, n, m, T(1), ad.data(), n, x.data(), m,
+                  kThreads, tuning);
+          trsm<T>(uplo, trans, diag, n, m, T(1), ad_pad.data(), lda,
+                  x_pad.data(), ldb, kThreads, tuning);
+          expect_padded_matches_tight(x_pad, x, n, m, "trsm");
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, PaddedLeadingDimensionsFloat) {
+  GemmTuning tuning;
+  tuning.variant = GetParam();
+  expect_padded_strides_are_inert<float>(tuning);
+}
+
+TEST_P(KernelVariantTest, PaddedLeadingDimensionsDouble) {
+  GemmTuning tuning;
+  tuning.variant = GetParam();
+  expect_padded_strides_are_inert<double>(tuning);
+}
+
+TEST_P(KernelVariantTest, TrsmAlphaZeroZeroesNanB) {
+  GemmTuning tuning;
+  tuning.variant = GetParam();
+  const int n = 37, m = 45;
+  auto a = random_matrix<double>(n, n, 36);
+  std::vector<double> b(n * m, std::numeric_limits<double>::quiet_NaN());
+  trsm<double>(Uplo::kLower, Trans::kNo, Diag::kNonUnit, n, m, 0.0, a.data(),
+               n, b.data(), m, 2, tuning);
+  for (int i = 0; i < n * m; ++i) ASSERT_EQ(b[i], 0.0) << "index " << i;
+}
+
+TEST_P(KernelVariantTest, TrsmUnitDiagonalIgnoresStoredNan) {
+  // A unit-diagonal solve must never read A's diagonal: storing NaN there
+  // gives the same bits as storing the solve's own diagonal value.
+  GemmTuning tuning;
+  tuning.variant = GetParam();
+  const int n = 150, m = 70;
+  auto a = random_matrix<float>(n, n, 37);
+  for (int i = 0; i < n; ++i) a[i * n + i] = 1.0f;
+  auto a_nan = a;
+  for (int i = 0; i < n; ++i) {
+    a_nan[i * n + i] = std::numeric_limits<float>::quiet_NaN();
+  }
+  for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+    for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+      auto x = random_matrix<float>(n, m, 38);
+      auto x_nan = x;
+      trsm<float>(uplo, trans, Diag::kUnit, n, m, 1.0f, a.data(), n, x.data(),
+                  m, 2, tuning);
+      trsm<float>(uplo, trans, Diag::kUnit, n, m, 1.0f, a_nan.data(), n,
+                  x_nan.data(), m, 2, tuning);
+      ASSERT_EQ(
+          std::memcmp(x.data(), x_nan.data(), x.size() * sizeof(float)), 0);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
