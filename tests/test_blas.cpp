@@ -911,27 +911,32 @@ TEST(PackArenaHotPath, RepeatedCallsOfOneShapeAllocateNothing) {
   auto c = random_matrix<float>(n, m, 23);
   auto b_io = b0;
 
-  auto run_all = [&] {
-    gemm<float>(Trans::kNo, Trans::kNo, n, m, k, 1.5f, a.data(), n, b0.data(),
-                m, 0.5f, c.data(), m, 2);
-    syrk<float>(Uplo::kLower, Trans::kNo, n, k, 1.0f, a.data(), n, 0.5f,
-                c.data(), m, 2);
-    symm<float>(Uplo::kUpper, n, m, 1.0f, a.data(), n, b0.data(), m, 0.0f,
-                c.data(), m, 2);
-    b_io = b0;
-    trmm<float>(Uplo::kLower, Trans::kNo, Diag::kNonUnit, n, m, 2.0f,
-                a.data(), n, b_io.data(), m, 2);
-    b_io = b0;
-    trsm<float>(Uplo::kLower, Trans::kNo, Diag::kNonUnit, n, m, 1.0f,
-                a.data(), n, b_io.data(), m, 2);
-  };
+  // p = 1 carves from the caller's thread slab, p = 2 from the shared slab
+  // plus each participant's thread slab: both must settle.
+  for (const int threads : {1, 2}) {
+    auto run_all = [&] {
+      gemm<float>(Trans::kNo, Trans::kNo, n, m, k, 1.5f, a.data(), n,
+                  b0.data(), m, 0.5f, c.data(), m, threads);
+      syrk<float>(Uplo::kLower, Trans::kNo, n, k, 1.0f, a.data(), n, 0.5f,
+                  c.data(), m, threads);
+      symm<float>(Uplo::kUpper, n, m, 1.0f, a.data(), n, b0.data(), m, 0.0f,
+                  c.data(), m, threads);
+      b_io = b0;
+      trmm<float>(Uplo::kLower, Trans::kNo, Diag::kNonUnit, n, m, 2.0f,
+                  a.data(), n, b_io.data(), m, threads);
+      b_io = b0;
+      trsm<float>(Uplo::kLower, Trans::kNo, Diag::kNonUnit, n, m, 1.0f,
+                  a.data(), n, b_io.data(), m, threads);
+    };
 
-  run_all();  // grows the slabs to this shape's high-water mark
-  const std::size_t growths = PackArena::global().growth_count();
-  run_all();
-  run_all();
-  EXPECT_EQ(PackArena::global().growth_count(), growths)
-      << "a repeated shape must be served entirely from the arena";
+    run_all();  // grows the slabs to this shape's high-water mark
+    const std::size_t growths = PackArena::global().growth_count();
+    run_all();
+    run_all();
+    EXPECT_EQ(PackArena::global().growth_count(), growths)
+        << "threads=" << threads
+        << ": a repeated shape must be served entirely from the arena";
+  }
 }
 
 TEST(PackArenaHotPath, HugeTrmmCopyDoesNotPinArenaMemory) {

@@ -615,8 +615,9 @@ TEST(ArenaFaults, TrsmStaysCorrectWhenArenaGrowthFails) {
 }
 
 TEST(ArenaFaults, SymmStaysCorrectWhenArenaGrowthFails) {
-  // SYMM densifies the stored triangle into a shared slab before the GEMM
-  // core; with the slab carve refused the dense copy goes per-call.
+  // SYMM expands the stored triangle while packing A (pack_a_sym), so its
+  // only scratch is the packed panels; with growth refused they go
+  // per-call.
   const int n = 100, m = 44;
   std::vector<float> a(static_cast<std::size_t>(n) * n, 0.0f);
   for (int i = 0; i < n; ++i) {
@@ -644,15 +645,37 @@ TEST(ArenaFaults, SymmStaysCorrectWhenArenaGrowthFails) {
 }
 
 TEST(ArenaFaults, SerialCallDegradesToo) {
-  // nthreads == 1 goes through carve_private_panels' own fallback.
+  // nthreads == 1 carves from the caller's thread slab, not the shared one;
+  // with growth refused, that carve falls back to a per-call buffer too.
   const int m = 64, n = 48, k = 32;
+  failpoint::Scoped fp("arena-oom");
+
   std::vector<float> a(static_cast<std::size_t>(m) * k, 0.5f);
   std::vector<float> b(static_cast<std::size_t>(k) * n, 2.0f);
   std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
-  failpoint::Scoped fp("arena-oom");
   blas::sgemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, 1.0f, a.data(), k,
               b.data(), n, 0.0f, c.data(), n, 1);
   for (float v : c) ASSERT_FLOAT_EQ(v, 0.5f * 2.0f * k);
+
+  // SYMM and TRMM over an all-0.5 m x m A and an all-2 B: every symmetric
+  // row sums to 0.5 * m * 2, and a triangle row i of the lower product
+  // holds i + 1 nonzeros.
+  std::vector<float> sym(static_cast<std::size_t>(m) * m, 0.5f);
+  std::vector<float> b_sq(static_cast<std::size_t>(m) * n, 2.0f);
+  std::fill(c.begin(), c.end(), 0.0f);
+  blas::ssymm(blas::Uplo::kLower, m, n, 1.0f, sym.data(), m, b_sq.data(), n,
+              0.0f, c.data(), n, 1);
+  for (float v : c) ASSERT_FLOAT_EQ(v, 0.5f * 2.0f * m);
+
+  blas::strmm(blas::Uplo::kLower, blas::Trans::kNo, blas::Diag::kNonUnit, m,
+              n, 1.0f, sym.data(), m, b_sq.data(), n, 1);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      ASSERT_FLOAT_EQ(b_sq[static_cast<std::size_t>(i) * n + j],
+                      0.5f * 2.0f * static_cast<float>(i + 1))
+          << "trmm at (" << i << ", " << j << ")";
+    }
+  }
 }
 
 // ------------------------------------------- shared-memory artefact region

@@ -230,32 +230,169 @@ TEST(RaggedShapes, GemmAllTransCombosDouble) {
   }
 }
 
-TEST(RaggedShapes, ResultsBitIdenticalAcrossThreadCountsAndRuns) {
-  // The steal deck reorders which THREAD computes a tile, never the
-  // per-element arithmetic: every (thread count, run) pair must agree bit
-  // for bit, including the serial path (same blocking, same accumulation
-  // order).
-  const int m = 517, n = 203, k = 131;  // off every blocking grid
-  const auto a = random_matrix<float>(m, k, 21);
-  const auto b = random_matrix<float>(k, n, 22);
-  const auto c0 = random_matrix<float>(m, n, 23);
-
-  auto run = [&](int nthreads) {
-    auto c = c0;
-    gemm<float>(Trans::kNo, Trans::kNo, m, n, k, 1.5f, a.data(), k, b.data(),
-                n, 0.25f, c.data(), n, nthreads);
-    return c;
-  };
-
+/// memcmp-compares run(nthreads) for nthreads 1-4, three runs each, against
+/// one p = 1 run. `run` returns the op's output matrix.
+template <typename Run>
+void expect_bit_identical_across_threads(Run&& run, const std::string& what) {
   const auto reference_run = run(1);
   for (const int nthreads : {1, 2, 3, 4}) {
     for (int rep = 0; rep < 3; ++rep) {
-      const auto c = run(nthreads);
-      ASSERT_EQ(std::memcmp(c.data(), reference_run.data(),
-                            c.size() * sizeof(float)),
+      const auto out = run(nthreads);
+      ASSERT_EQ(out.size(), reference_run.size());
+      ASSERT_EQ(std::memcmp(out.data(), reference_run.data(),
+                            out.size() * sizeof(out[0])),
                 0)
-          << "nthreads=" << nthreads << " rep=" << rep;
+          << what << " nthreads=" << nthreads << " rep=" << rep;
     }
+  }
+}
+
+/// Default blocking, plus a small one that gives these shapes several
+/// jc, pc and ic steps (and TRMM's triangle skips) at every thread count.
+std::vector<std::pair<GemmTuning, std::string>> bit_identity_tunings() {
+  GemmTuning small;
+  small.mc = 40;
+  small.kc = 48;
+  small.nc = 96;
+  return {{GemmTuning{}, "default blocking"}, {small, "small blocking"}};
+}
+
+template <typename T>
+void expect_gemm_bit_identical() {
+  const int m = 517, n = 203, k = 131;  // off every blocking grid
+  const auto a = random_matrix<T>(m, k, 21);
+  const auto b = random_matrix<T>(k, n, 22);
+  const auto c0 = random_matrix<T>(m, n, 23);
+  for (const auto& [tuning, label] : bit_identity_tunings()) {
+    expect_bit_identical_across_threads(
+        [&](int nthreads) {
+          auto c = c0;
+          gemm<T>(Trans::kNo, Trans::kNo, m, n, k, T(1.5), a.data(), k,
+                  b.data(), n, T(0.25), c.data(), n, nthreads, tuning);
+          return c;
+        },
+        "gemm, " + label);
+  }
+}
+
+template <typename T>
+void expect_symm_bit_identical() {
+  const int n = 259, m = 203;
+  const auto a = random_matrix<T>(n, n, 24);
+  const auto b = random_matrix<T>(n, m, 25);
+  const auto c0 = random_matrix<T>(n, m, 26);
+  for (const auto& [tuning, label] : bit_identity_tunings()) {
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      expect_bit_identical_across_threads(
+          [&](int nthreads) {
+            auto c = c0;
+            symm<T>(uplo, n, m, T(1.5), a.data(), n, b.data(), m, T(0.25),
+                    c.data(), m, nthreads, tuning);
+            return c;
+          },
+          "symm uplo=" + std::to_string(static_cast<int>(uplo)) + ", " +
+              label);
+    }
+  }
+}
+
+template <typename T>
+void expect_trmm_bit_identical() {
+  const int n = 259, m = 203;
+  const auto a = random_matrix<T>(n, n, 27);
+  const auto b0 = random_matrix<T>(n, m, 28);
+  for (const auto& [tuning, label] : bit_identity_tunings()) {
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+        for (const Diag diag : {Diag::kNonUnit, Diag::kUnit}) {
+          expect_bit_identical_across_threads(
+              [&](int nthreads) {
+                auto b = b0;
+                trmm<T>(uplo, trans, diag, n, m, T(1.25), a.data(), n,
+                        b.data(), m, nthreads, tuning);
+                return b;
+              },
+              "trmm uplo=" + std::to_string(static_cast<int>(uplo)) +
+                  " trans=" + std::to_string(static_cast<int>(trans)) +
+                  " diag=" + std::to_string(static_cast<int>(diag)) + ", " +
+                  label);
+        }
+      }
+    }
+  }
+}
+
+TEST(RaggedShapes, ResultsBitIdenticalAcrossThreadCountsAndRuns) {
+  // The steal deck reorders which THREAD computes a tile, never the
+  // per-element arithmetic: every (thread count, run) pair must agree bit
+  // for bit, including p = 1 (same blocking, same accumulation order).
+  expect_gemm_bit_identical<float>();
+  expect_gemm_bit_identical<double>();
+  expect_symm_bit_identical<float>();
+  expect_trmm_bit_identical<float>();
+}
+
+TEST(RaggedShapes, NestedCallsMatchTopLevelSerialCalls) {
+  // Four pool participants each run GEMM, SYMM and TRMM on their own
+  // operands at once. Inside a region every call collapses to p = 1, so
+  // four p = 1 calls run concurrently: their packing scratch must come from
+  // each caller's own thread slab, never from the one shared slab, or the
+  // calls would overwrite each other's panels. Each output must equal the
+  // same call made at top level with nthreads = 1.
+  constexpr std::size_t kCallers = 4;
+  const int m = 137, n = 91, k = 75;
+  struct Operands {
+    std::vector<float> a, b, c, sym, tri, b_tri;
+  };
+  std::vector<Operands> ops(kCallers);
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    const std::uint64_t s = 100 + 10 * t;
+    ops[t] = {random_matrix<float>(m, k, s), random_matrix<float>(k, n, s + 1),
+              random_matrix<float>(m, n, s + 2),
+              random_matrix<float>(m, m, s + 3),
+              random_matrix<float>(m, m, s + 4),
+              random_matrix<float>(m, n, s + 5)};
+  }
+
+  struct Outputs {
+    std::vector<float> gemm, symm, trmm;
+  };
+  auto run_all = [&](const Operands& o) {
+    Outputs out{o.c, o.c, o.b_tri};
+    gemm<float>(Trans::kNo, Trans::kNo, m, n, k, 1.5f, o.a.data(), k,
+                o.b.data(), n, 0.25f, out.gemm.data(), n, 1);
+    symm<float>(Uplo::kLower, m, n, 1.5f, o.sym.data(), m, o.c.data(), n,
+                0.25f, out.symm.data(), n, 1);
+    trmm<float>(Uplo::kUpper, Trans::kNo, Diag::kNonUnit, m, n, 1.25f,
+                o.tri.data(), m, out.trmm.data(), n, 1);
+    return out;
+  };
+
+  std::vector<Outputs> expected;
+  for (const auto& o : ops) expected.push_back(run_all(o));
+
+  ThreadPool& pool = ThreadPool::global();
+  if (pool.max_threads() < kCallers) GTEST_SKIP() << "needs a 4-thread pool";
+  std::vector<Outputs> nested(kCallers);
+  pool.parallel_region(kCallers, [&](std::size_t tid, std::size_t nt) {
+    // Each participant repeats its calls so they overlap the others'.
+    for (std::size_t t = tid; t < kCallers; t += nt) {
+      for (int rep = 0; rep < 3; ++rep) nested[t] = run_all(ops[t]);
+    }
+  });
+
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    const auto check = [&](const std::vector<float>& got,
+                           const std::vector<float>& want, const char* op) {
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)),
+                0)
+          << op << " of caller " << t;
+    };
+    check(nested[t].gemm, expected[t].gemm, "gemm");
+    check(nested[t].symm, expected[t].symm, "symm");
+    check(nested[t].trmm, expected[t].trmm, "trmm");
   }
 }
 
