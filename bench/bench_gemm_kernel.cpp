@@ -11,6 +11,7 @@
 // small-GEMM regime the PackArena + spin-wait fork/join changes target.
 // BM_TrsmDiagSolve times each variant's TRSM diagonal-block solve
 // (KernelSet::trsm_solve) alone, outside the trailing GEMM updates.
+// BM_SsymmSquare and BM_StrmmSquare time p = 1 SYMM and TRMM.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,6 +26,8 @@
 #include "blas/gemm.h"
 #include "blas/kernels/dispatch.h"
 #include "blas/pack_pipeline.h"
+#include "blas/symm.h"
+#include "blas/trmm.h"
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -67,6 +70,50 @@ void BM_SgemmSquare(benchmark::State& state, kernels::Variant variant) {
   }
   state.counters["GFLOPS"] = benchmark::Counter(
       2.0 * dim * dim * dim * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_SsymmSquare(benchmark::State& state, kernels::Variant variant) {
+  const auto dim = static_cast<int>(state.range(0));
+  const auto threads = static_cast<int>(state.range(1));
+  AlignedBuffer<float> a(static_cast<std::size_t>(dim) * dim);
+  AlignedBuffer<float> b(static_cast<std::size_t>(dim) * dim);
+  AlignedBuffer<float> c(static_cast<std::size_t>(dim) * dim);
+  fill_random(a, 16);
+  fill_random(b, 17);
+  const auto tuning = tuning_for(variant);
+  for (auto _ : state) {
+    blas::symm<float>(blas::Uplo::kLower, dim, dim, 1.0f, a.data(), dim,
+                      b.data(), dim, 0.0f, c.data(), dim, threads, tuning);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * dim * dim * dim * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_StrmmSquare(benchmark::State& state, kernels::Variant variant) {
+  // In place over B, so A is the identity: repeated calls leave B unchanged
+  // (no drift toward overflow or denormals) while running the same packing
+  // and kernel instructions as any other triangle.
+  const auto dim = static_cast<int>(state.range(0));
+  const auto threads = static_cast<int>(state.range(1));
+  AlignedBuffer<float> a(static_cast<std::size_t>(dim) * dim);
+  AlignedBuffer<float> b(static_cast<std::size_t>(dim) * dim);
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = 0.0f;
+  for (int i = 0; i < dim; ++i) a[static_cast<std::size_t>(i) * dim + i] = 1.0f;
+  fill_random(b, 18);
+  const auto tuning = tuning_for(variant);
+  for (auto _ : state) {
+    blas::trmm<float>(blas::Uplo::kLower, blas::Trans::kNo,
+                      blas::Diag::kNonUnit, dim, dim, 1.0f, a.data(), dim,
+                      b.data(), dim, threads, tuning);
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      1.0 * dim * dim * dim * static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
 
@@ -320,6 +367,16 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(("BM_SgemmSquare/" + suffix).c_str(),
                                  BM_SgemmSquare, variant)
         ->ArgsProduct({{128, 512, 1024}, {1, 4, 0 /* all */}})
+        ->Unit(benchmark::kMicrosecond);
+    // p = 1 SYMM and TRMM beside the p = 1 GEMM rows: the single-thread
+    // path of the shared macro-loop for the other two ops that run it.
+    benchmark::RegisterBenchmark(("BM_SsymmSquare/" + suffix).c_str(),
+                                 BM_SsymmSquare, variant)
+        ->ArgsProduct({{64, 256}, {1}})
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(("BM_StrmmSquare/" + suffix).c_str(),
+                                 BM_StrmmSquare, variant)
+        ->ArgsProduct({{64, 256}, {1}})
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("BM_SgemmSkinny/" + suffix).c_str(),
                                  BM_SgemmSkinny, variant)

@@ -8,7 +8,11 @@
 //   - a register-blocked MR x NR micro-kernel chosen at runtime from the
 //     dispatched KernelSet (hand-written AVX2+FMA when the CPU has it,
 //     compiler-vectorised generic otherwise; see blas/kernels/dispatch.h),
-//   - row-partitioned threading with shared packed-B and spin barriers.
+//   - one pipelined macro-loop at every thread count: the participants
+//     pack each B panel cooperatively into a shared ping/pong pair while
+//     computing the previous one, and claim MC-row tiles from a stealable
+//     deck (blas/pack_pipeline.h). p = 1 is the same loop run by one
+//     participant.
 // Its thread-count-dependent performance profile (sync + packing overhead vs
 // parallel FLOPs) is the behaviour the ML model learns in native mode.
 //
@@ -17,30 +21,11 @@
 // with op(X) = X or X^T per the trans flags, op(A) m-by-k, op(B) k-by-n.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 
 #include "blas/kernels/kernel_set.h"
 
 namespace adsala::blas {
-
-namespace detail {
-
-/// Balanced row partition of a triangle: thread t's range starts where
-/// ~t/p of the triangle's *area* has been covered, not of the rows (row i
-/// of a lower triangle costs i+1 column updates). Shared by the
-/// triangle-walking routines (syrk, trmm).
-inline int triangle_split(bool lower, int n, std::size_t t, std::size_t p) {
-  const double frac = static_cast<double>(t) / static_cast<double>(p);
-  if (lower) {
-    // rows [0, r) hold fraction (r/n)^2 of the area.
-    return static_cast<int>(std::floor(n * std::sqrt(frac)));
-  }
-  // upper triangle: rows [0, r) hold 1 - ((n-r)/n)^2 of the area.
-  return static_cast<int>(std::floor(n * (1.0 - std::sqrt(1.0 - frac))));
-}
-
-}  // namespace detail
 
 enum class Trans { kNo, kYes };
 

@@ -74,26 +74,6 @@ BlockGeom block_geometry(const kernels::KernelSet<T>& ks,
   return g;
 }
 
-/// One participant's private packed-panel scratch, carved from the calling
-/// thread's arena slab in a single call (the one-carve-per-op contract:
-/// a second thread_slab call could grow the slab and invalidate the first
-/// pointer). `col_span` is the widest column range this participant's B
-/// panels can cover (n for GEMM/SYMM-style macro-loops, the triangle's
-/// column extent for SYRK). `extra_padded` prepends that many already-
-/// padded elements for op-specific scratch (TRMM's dense copy); the A
-/// panels start right after it.
-template <typename T>
-struct PanelCarve {
-  T* extra = nullptr;
-  T* a_pack = nullptr;
-  T* b_pack = nullptr;
-  /// Non-null only on the degraded path: arena growth threw bad_alloc and
-  /// the carve fell back to a per-call buffer (the PR-5 huge-TRMM fallback
-  /// generalised to every op). shared_ptr keeps the struct copyable — the
-  /// drivers pass carves by value into their macro loops.
-  std::shared_ptr<AlignedBuffer<T>> fallback;
-};
-
 /// Elements of one participant's packed-A block: full MR-row micro-panels
 /// covering mc rows at depth kc.
 template <typename T>
@@ -103,7 +83,7 @@ std::size_t a_panel_elems(const kernels::KernelSet<T>& ks, int mc, int kc) {
 
 /// Elements of a packed-B block spanning min(nc, col_span) columns at depth
 /// kc: full NR-column micro-panels. The single source of the sizing for
-/// both the private carve below and GEMM's orchestrator-sized shared slab.
+/// every carve below.
 template <typename T>
 std::size_t b_panel_elems(const kernels::KernelSet<T>& ks, int nc,
                           int col_span, int kc) {
@@ -111,36 +91,12 @@ std::size_t b_panel_elems(const kernels::KernelSet<T>& ks, int nc,
   return static_cast<std::size_t>(b_panels) * kc * ks.nr;
 }
 
-template <typename T>
-PanelCarve<T> carve_private_panels(const kernels::KernelSet<T>& ks, int mc,
-                                   int kc, int nc, int col_span,
-                                   std::size_t extra_padded = 0) {
-  const std::size_t a_padded =
-      PackArena::padded_count<T>(a_panel_elems(ks, mc, kc));
-  const std::size_t total =
-      extra_padded + a_padded + b_panel_elems(ks, nc, col_span, kc);
-  PanelCarve<T> carve;
-  T* slab = nullptr;
-  try {
-    slab = PackArena::global().thread_slab<T>(total);
-  } catch (const std::bad_alloc&) {
-    // Arena growth failed (genuine exhaustion or the `arena-oom`
-    // failpoint): serve this call from a per-call buffer instead of
-    // failing it. If even that throws, the exception-safe ThreadPool
-    // rethrows on the calling thread — never std::terminate.
-    carve.fallback = std::make_shared<AlignedBuffer<T>>(total);
-    slab = carve.fallback->data();
-  }
-  carve.extra = slab;
-  carve.a_pack = slab + extra_padded;
-  carve.b_pack = carve.a_pack + a_padded;
-  return carve;
-}
-
-/// Shared-slab sibling of the carve fallback: returns the arena's shared
-/// slab, degrading to a per-call buffer (kept alive through `fallback`)
-/// when growth throws. Call from the orchestrating thread before the
-/// region opens, exactly like PackArena::shared_slab itself.
+/// Returns the arena's shared slab, degrading to a per-call buffer (kept
+/// alive through `fallback`) when growth throws — genuine exhaustion or the
+/// `arena-oom` failpoint. If even that throws, the exception-safe
+/// ThreadPool rethrows on the calling thread, never std::terminate. Call
+/// from the orchestrating thread before the region opens, exactly like
+/// PackArena::shared_slab itself.
 template <typename T>
 T* shared_slab_or_fallback(std::size_t count,
                            std::shared_ptr<AlignedBuffer<T>>& fallback) {
@@ -152,8 +108,7 @@ T* shared_slab_or_fallback(std::size_t count,
   }
 }
 
-/// Thread-slab sibling, for participants that carve a bare A block instead
-/// of going through carve_private_panels (GEMM's cooperative-B layout).
+/// Thread-slab sibling of shared_slab_or_fallback.
 template <typename T>
 T* thread_slab_or_fallback(std::size_t count,
                            std::shared_ptr<AlignedBuffer<T>>& fallback) {
@@ -165,59 +120,115 @@ T* thread_slab_or_fallback(std::size_t count,
   }
 }
 
-/// Ping/pong pair of equally-sized shared-slab carves: the double-buffered
-/// B panels of the pack pipeline. One shared_slab call covers both halves
-/// (a second call could grow the slab and invalidate the first pointer);
-/// padded_count keeps the pong half 64-byte aligned. Degrades to one
-/// per-call buffer (kept alive through `fallback`) when arena growth
-/// throws, exactly like shared_slab_or_fallback. Call from the
-/// orchestrating thread before the region opens.
+/// Packing scratch of one macro-loop call, carved in ONE arena call
+/// (shared_slab always returns the slab base and thread_slab may grow it,
+/// so a second call would alias or invalidate the first). `lead` is
+/// `lead_elems` of op-specific data placed ahead of the panels (TRMM's
+/// dense copy of B); null when lead_elems == 0.
+///
+///   p > 1:  [lead | B ping | B pong] from the shared slab, which every
+///           participant reads; each participant carves its own A block
+///           from its thread slab inside the region (a_pack stays null).
+///   p == 1: [lead | A | B] from the caller's thread slab, with
+///           b_bufs[0] == b_bufs[1]. Calls nested in a region collapse to
+///           p = 1 and run concurrently, so they must never touch the one
+///           shared slab; and one participant packs each panel just before
+///           computing it, so one B buffer suffices. SYRK's participants,
+///           whose panels are all private, carve this way too.
 template <typename T>
-struct SharedPair {
-  T* bufs[2] = {nullptr, nullptr};
+struct LoopScratch {
+  T* lead = nullptr;
+  T* a_pack = nullptr;
+  T* b_bufs[2] = {nullptr, nullptr};
+  /// Non-null only when arena growth threw (see shared_slab_or_fallback).
   std::shared_ptr<AlignedBuffer<T>> fallback;
 };
 
 template <typename T>
-SharedPair<T> carve_shared_pair(std::size_t count) {
-  const std::size_t padded = PackArena::padded_count<T>(count);
-  SharedPair<T> pair;
-  T* base = shared_slab_or_fallback<T>(2 * padded, pair.fallback);
-  pair.bufs[0] = base;
-  pair.bufs[1] = base + padded;
-  return pair;
+LoopScratch<T> carve_loop_scratch(std::size_t p,
+                                  const kernels::KernelSet<T>& ks,
+                                  const BlockGeom& g, int cols,
+                                  std::size_t lead_elems = 0) {
+  const std::size_t lead = PackArena::padded_count<T>(lead_elems);
+  const std::size_t b_elems = b_panel_elems(ks, g.nc, cols, g.kc);
+  LoopScratch<T> s;
+  T* base;
+  if (p == 1) {
+    const std::size_t a_padded =
+        PackArena::padded_count<T>(a_panel_elems(ks, g.mc, g.kc));
+    base = thread_slab_or_fallback<T>(lead + a_padded + b_elems, s.fallback);
+    s.a_pack = base + lead;
+    s.b_bufs[0] = s.b_bufs[1] = s.a_pack + a_padded;
+  } else {
+    const std::size_t b_padded = PackArena::padded_count<T>(b_elems);
+    base = shared_slab_or_fallback<T>(lead + 2 * b_padded, s.fallback);
+    s.b_bufs[0] = base + lead;
+    s.b_bufs[1] = base + lead + b_padded;
+  }
+  if (lead_elems > 0) s.lead = base;
+  return s;
 }
 
-/// The pipelined level-3 macro-loop, run by EVERY participant of a parallel
-/// region (GEMM first, and the SYMM/TRMM loops that share its structure).
-/// Enumerates the (jc, pc) panel grid in order; for each panel the
-/// cooperative pack of the NEXT panel proceeds into the other half of the
-/// ping/pong pair while this panel is computed, and MC-row tiles are
-/// claimed through the stealable deck instead of a static row split.
+/// The macro-kernel: multiplies one packed A block (mc_eff x kc_eff) by one
+/// packed B block (kc_eff x nc_eff) into the C block at c, tiling with the
+/// dispatched kernel's MR x NR geometry.
+template <typename T>
+void macro_kernel(const kernels::KernelSet<T>& ks, int mc_eff, int nc_eff,
+                  int kc_eff, T alpha, const T* a_pack, const T* b_pack, T* c,
+                  int ldc) {
+  const int mr = ks.mr;
+  const int nr = ks.nr;
+  for (int jr = 0; jr < nc_eff; jr += nr) {
+    const int cols = std::min(nr, nc_eff - jr);
+    const T* b_panel = b_pack + static_cast<long>(jr / nr) * kc_eff * nr;
+    for (int ir = 0; ir < mc_eff; ir += mr) {
+      const int rows = std::min(mr, mc_eff - ir);
+      const T* a_panel = a_pack + static_cast<long>(ir / mr) * kc_eff * mr;
+      T* c_tile = c + static_cast<long>(ir) * ldc + jr;
+      if (rows == mr && cols == nr) {
+        ks.full(kc_eff, alpha, a_panel, b_panel, c_tile, ldc);
+      } else {
+        ks.edge(kc_eff, alpha, a_panel, b_panel, c_tile, ldc, rows, cols);
+      }
+    }
+  }
+}
+
+/// The level-3 macro-loop, run by EVERY participant of a call (GEMM, SYMM
+/// and TRMM, at every thread count). Enumerates the (jc, pc) panel grid in
+/// order; MC-row tiles of each panel are claimed through the stealable
+/// deck. With several participants, the cooperative pack of the NEXT panel
+/// proceeds into the other half of the ping/pong pair while this panel is
+/// computed. With one there is nothing to overlap: each panel is packed
+/// just before it is computed, into the single buffer (b_bufs[0] may equal
+/// b_bufs[1]; PackPipeline keeps its epochs per buffer slot, and no panel is
+/// packed ahead).
 ///
 ///   pack_chunk(jc, pc, kc_eff, q, dst)
 ///     packs NR-column micro-panel q (columns [jc + q*nr, ...)) of the
 ///     kc_eff-deep B block into dst (contiguous kc_eff * nr elements).
-///   tile_op(jc, pc, nc_eff, kc_eff, first_panel_of_jc, ic, mc_eff, b_buf)
+///   tile_op(jc, pc, nc_eff, kc_eff, first_panel_of_jc, ic, mc_eff, a_pack,
+///           b_buf)
 ///     computes C rows [ic, ic+mc_eff) x columns [jc, jc+nc_eff) against
-///     the packed B block at b_buf. `first_panel_of_jc` is true on the
-///     jc-block's first pc iteration — where a driver folds its beta scale
-///     into the tile, first-touch style, so no separate pre-scale barrier
-///     orders against the stolen tiles.
+///     the packed B block at b_buf, packing its A block into this
+///     participant's a_pack. `first_panel_of_jc` is true on the jc-block's
+///     first pc iteration — where a driver folds its beta scale into the
+///     tile, first-touch style, so no separate pre-scale barrier orders
+///     against the stolen tiles.
 ///
-/// The caller sizes each half of `b_bufs` for the widest panel
-/// (b_panel_elems at the resolved kc/nc); within a panel the packed layout
-/// is q * kc_eff * nr, matching the pre-pipeline cooperative pack.
+/// The caller sizes each B buffer for the widest panel (b_panel_elems at
+/// the resolved kc/nc); within a panel the packed layout is q * kc_eff * nr.
 template <typename T, typename PackChunkFn, typename TileOpFn>
 void pipelined_macro_loop(std::size_t tid, std::size_t nt, int rows, int cols,
                           int kdim, const BlockGeom& g, int nr,
-                          T* const (&b_bufs)[2], PackPipeline& pipe,
+                          T* const (&b_bufs)[2], T* a_pack, PackPipeline& pipe,
                           TileDeck& deck, PackChunkFn&& pack_chunk,
                           TileOpFn&& tile_op) {
   const int t = static_cast<int>(tid);
   const long pc_steps = (kdim + g.kc - 1) / g.kc;
   const long jc_steps = (cols + g.nc - 1) / g.nc;
   const long total_panels = jc_steps * pc_steps;
+  const bool pack_ahead = nt > 1;
 
   PipelineStats& stats = pipeline_stats();
   const bool timed = stats.timing_enabled.load(std::memory_order_relaxed);
@@ -246,13 +257,18 @@ void pipelined_macro_loop(std::size_t tid, std::size_t nt, int rows, int cols,
   };
 
   // Pipeline prologue: panel 0 is packed cooperatively before any compute.
-  pack_share(0);
+  if (pack_ahead) pack_share(0);
 
   for (long panel = 0; panel < total_panels; ++panel) {
     // Pack-ahead: panel+1 goes into the other buffer while panel computes.
     // The only steady-state wait inside pack_share is the previous panel
-    // draining — one synchronisation point per panel, not two barriers.
-    if (panel + 1 < total_panels) pack_share(panel + 1);
+    // draining — one synchronisation point per panel. A lone participant
+    // packs this panel now instead.
+    if (!pack_ahead) {
+      pack_share(panel);
+    } else if (panel + 1 < total_panels) {
+      pack_share(panel + 1);
+    }
 
     pipe.wait_computable(panel);
     const int jc = static_cast<int>(panel / pc_steps) * g.nc;
@@ -266,7 +282,7 @@ void pipelined_macro_loop(std::size_t tid, std::size_t nt, int rows, int cols,
          tile = deck.claim(t, panel)) {
       const int ic = tile * g.mc;
       const int mc_eff = std::min(g.mc, rows - ic);
-      tile_op(jc, pc, nc_eff, kc_eff, first_of_jc, ic, mc_eff, b_buf);
+      tile_op(jc, pc, nc_eff, kc_eff, first_of_jc, ic, mc_eff, a_pack, b_buf);
       ++tiles_done;
     }
     if (timed) compute_ns += stats_now_ns() - t0;
@@ -278,6 +294,33 @@ void pipelined_macro_loop(std::size_t tid, std::size_t nt, int rows, int cols,
     stats.pack_ns.fetch_add(pack_ns, std::memory_order_relaxed);
     stats.compute_ns.fetch_add(compute_ns, std::memory_order_relaxed);
   }
+}
+
+/// Runs pipelined_macro_loop on p participants over a rows x cols output
+/// with inner dimension kdim, out of `scratch` (carve_loop_scratch at the
+/// same p). p == 1 runs on the calling thread with the scratch's A block;
+/// at p > 1 each participant of the region carves its own.
+template <typename T, typename PackChunkFn, typename TileOpFn>
+void run_macro_loop(std::size_t p, const kernels::KernelSet<T>& ks,
+                    const BlockGeom& g, int rows, int cols, int kdim,
+                    const LoopScratch<T>& scratch, PackChunkFn&& pack_chunk,
+                    TileOpFn&& tile_op) {
+  PackPipeline pipe(p);
+  TileDeck deck(p, (rows + g.mc - 1) / g.mc);
+  if (p == 1) {
+    pipelined_macro_loop<T>(0, 1, rows, cols, kdim, g, ks.nr, scratch.b_bufs,
+                            scratch.a_pack, pipe, deck, pack_chunk, tile_op);
+    return;
+  }
+  const std::size_t a_pack_elems = a_panel_elems(ks, g.mc, g.kc);
+  ThreadPool::global().parallel_region(p, [&](std::size_t tid,
+                                               std::size_t nt) {
+    std::shared_ptr<AlignedBuffer<T>> a_fallback;
+    T* a_pack = thread_slab_or_fallback<T>(a_pack_elems, a_fallback);
+    pipelined_macro_loop<T>(tid, nt, rows, cols, kdim, g, ks.nr,
+                            scratch.b_bufs, a_pack, pipe, deck, pack_chunk,
+                            tile_op);
+  });
 }
 
 /// Serial `row *= factor` over rows [row_lo, row_hi) of an ncols-wide

@@ -1,23 +1,21 @@
-// Compute/pack overlap primitives for the level-3 macro-loops.
-//
-// The pre-pipeline GEMM driver packed each KC x NC B panel behind a full
-// SpinBarrier, computed, then barriered again before re-packing — two full
-// round-trips per kc iteration, with pack time serialised against compute.
-// These primitives replace that schedule with a depth-2 (ping/pong) pack
-// pipeline plus a stealable row-tile partition:
+// Compute/pack overlap primitives for the level-3 macro-loop
+// (detail::pipelined_macro_loop in level3_common.h): a depth-2 (ping/pong)
+// pack pipeline plus a stealable row-tile partition.
 //
 //   PackPipeline — per-buffer generation ("epoch") counters over a paired
 //     B slab. While the threads compute kc-panel i out of buffer i%2, the
 //     cooperative pack of panel i+1 proceeds into buffer (i+1)%2; the
 //     steady-state loop has ONE synchronisation point per panel (the
-//     previous panel draining) instead of two barriers. Waits are
-//     spin-then-park, consistent with the ThreadPool's fork/join.
+//     previous panel draining). Waits are spin-then-park, consistent with
+//     the ThreadPool's fork/join. A single participant packs each panel
+//     just before computing it and may pass one buffer as both halves: the
+//     epochs are kept per buffer slot, and no panel is packed ahead.
 //
 //   TileDeck — per-thread deques of MC-row tiles with an atomic cursor
 //     each; a thread that drains its own deque steals from the next
 //     victim's. Ragged shapes (m not a multiple of nt*mr) and the skew a
-//     thread picks up from packing duty no longer leave threads idle at a
-//     barrier: the tail tiles migrate to whoever is free.
+//     thread picks up from packing duty do not leave threads idle: the
+//     tail tiles migrate to whoever is free.
 //
 // Epoch discipline (the part TSan gates in tests/test_pack_overlap.cpp):
 // panels complete strictly in order, so one monotonic `panels_done` counter

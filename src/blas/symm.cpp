@@ -1,86 +1,13 @@
 #include "blas/symm.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 #include "blas/kernels/dispatch.h"
 #include "blas/level3_common.h"
 #include "blas/pack.h"
-#include "blas/pack_pipeline.h"
-#include "common/pack_arena.h"
-#include "common/thread_pool.h"
 
 namespace adsala::blas {
-
-namespace {
-
-/// Inner kernel sweep of one packed-A block against one packed-B block,
-/// shared by the serial and pipelined paths.
-template <typename T>
-void symm_macro_kernel(const kernels::KernelSet<T>& ks, int mc_eff,
-                       int nc_eff, int kc_eff, T alpha, const T* a_pack,
-                       const T* b_pack, T* c_block, int ldc) {
-  const int mr = ks.mr;
-  const int nr = ks.nr;
-  for (int jr = 0; jr < nc_eff; jr += nr) {
-    const int cols = std::min(nr, nc_eff - jr);
-    const T* b_panel = b_pack + static_cast<long>(jr / nr) * kc_eff * nr;
-    for (int ir = 0; ir < mc_eff; ir += mr) {
-      const int rows = std::min(mr, mc_eff - ir);
-      const T* a_panel = a_pack + static_cast<long>(ir / mr) * kc_eff * mr;
-      T* c_tile = c_block + static_cast<long>(ir) * ldc + jr;
-      if (rows == mr && cols == nr) {
-        ks.full(kc_eff, alpha, a_panel, b_panel, c_tile, ldc);
-      } else {
-        ks.edge(kc_eff, alpha, a_panel, b_panel, c_tile, ldc, rows, cols);
-      }
-    }
-  }
-}
-
-/// Serial blocked product over all C rows: the GEMM macro-loop with A
-/// panels packed through the symmetric expansion (pack_a_sym) and B packed
-/// straight, both panels private to the calling thread.
-template <typename T>
-void symm_serial(const kernels::KernelSet<T>& ks, Uplo uplo, int n, int m,
-                 T alpha, const T* a, int lda, const T* b, int ldb, T beta,
-                 T* c, int ldc, const detail::BlockGeom& g) {
-  const int nr = ks.nr;
-  const bool lower = uplo == Uplo::kLower;
-  detail::scale_rows_range(c, static_cast<long>(ldc), 0, n, m, beta);
-
-  const auto carve = detail::carve_private_panels<T>(ks, g.mc, g.kc, g.nc, m);
-  T* a_pack = carve.a_pack;
-  T* b_pack = carve.b_pack;
-
-  for (int jc = 0; jc < m; jc += g.nc) {
-    const int nc_eff = std::min(g.nc, m - jc);
-    const int nc_panels = (nc_eff + nr - 1) / nr;
-    for (int pc = 0; pc < n; pc += g.kc) {
-      const int kc_eff = std::min(g.kc, n - pc);
-
-      for (int q = 0; q < nc_panels; ++q) {
-        const int j0 = jc + q * nr;
-        const int cols = std::min(nr, m - j0);
-        detail::pack_b<T>(b + static_cast<long>(pc) * ldb + j0, ldb, kc_eff,
-                          cols, nr,
-                          b_pack + static_cast<long>(q) * kc_eff * nr);
-      }
-
-      for (int ic = 0; ic < n; ic += g.mc) {
-        const int mc_eff = std::min(g.mc, n - ic);
-        detail::pack_a_sym<T>(a, lda, lower, ic, pc, mc_eff, kc_eff, ks.mr,
-                              a_pack);
-        symm_macro_kernel<T>(ks, mc_eff, nc_eff, kc_eff, alpha, a_pack,
-                             b_pack, c + static_cast<long>(ic) * ldc + jc,
-                             ldc);
-      }
-    }
-  }
-}
-
-}  // namespace
 
 template <typename T>
 void symm(Uplo uplo, int n, int m, T alpha, const T* a, int lda, const T* b,
@@ -92,7 +19,6 @@ void symm(Uplo uplo, int n, int m, T alpha, const T* a, int lda, const T* b,
   }
   if (n == 0 || m == 0) return;
 
-  ThreadPool& pool = ThreadPool::global();
   const std::size_t p = detail::resolve_threads(nthreads, n);
 
   if (alpha == T(0)) {
@@ -105,50 +31,30 @@ void symm(Uplo uplo, int n, int m, T alpha, const T* a, int lda, const T* b,
   const kernels::KernelSet<T>& ks = kernels::kernel_set<T>(tuning.variant);
   const detail::BlockGeom g = detail::block_geometry(ks, tuning);
 
-  if (p == 1) {  // includes nested-region degradation
-    symm_serial<T>(ks, uplo, n, m, alpha, a, lda, b, ldb, beta, c, ldc, g);
-    return;
-  }
-
-  // Parallel path: the same pack pipeline as GEMM (see blas/pack_pipeline.h)
-  // — the pre-pipeline schedule had every thread pack its own duplicate of
-  // the full B block to stay barrier-free; the cooperative ping/pong pack
-  // does the copy once per panel and overlaps it with compute, and the
-  // stolen MC-row tiles rebalance the packing skew.
+  // The GEMM macro-loop (see blas/pack_pipeline.h) with A panels packed
+  // through the symmetric expansion (pack_a_sym) and B packed straight.
   const bool lower = uplo == Uplo::kLower;
-  const std::size_t b_pack_elems = detail::b_panel_elems(ks, g.nc, m, g.kc);
-  const std::size_t a_pack_elems = detail::a_panel_elems(ks, g.mc, g.kc);
-  detail::SharedPair<T> pair = detail::carve_shared_pair<T>(b_pack_elems);
-
-  const int row_tiles = (n + g.mc - 1) / g.mc;
-  detail::PackPipeline pipe(p);
-  detail::TileDeck deck(p, row_tiles);
-
-  pool.parallel_region(p, [&](std::size_t tid, std::size_t nt) {
-    std::shared_ptr<AlignedBuffer<T>> a_fallback;
-    T* a_pack = detail::thread_slab_or_fallback<T>(a_pack_elems, a_fallback);
-
-    detail::pipelined_macro_loop<T>(
-        tid, nt, n, m, n, g, ks.nr, pair.bufs, pipe, deck,
-        [&](int jc, int pc, int kc_eff, int q, T* dst) {
-          const int j0 = jc + q * ks.nr;
-          const int cols = std::min(ks.nr, m - j0);
-          detail::pack_b<T>(b + static_cast<long>(pc) * ldb + j0, ldb, kc_eff,
-                            cols, ks.nr, dst);
-        },
-        [&](int jc, int pc, int nc_eff, int kc_eff, bool first_of_jc, int ic,
-            int mc_eff, const T* b_buf) {
-          if (first_of_jc) {
-            detail::scale_rows_range(c + jc, static_cast<long>(ldc), ic,
-                                     ic + mc_eff, nc_eff, beta);
-          }
-          detail::pack_a_sym<T>(a, lda, lower, ic, pc, mc_eff, kc_eff, ks.mr,
-                                a_pack);
-          symm_macro_kernel<T>(ks, mc_eff, nc_eff, kc_eff, alpha, a_pack,
-                               b_buf, c + static_cast<long>(ic) * ldc + jc,
-                               ldc);
-        });
-  });
+  const auto scratch = detail::carve_loop_scratch<T>(p, ks, g, m);
+  detail::run_macro_loop<T>(
+      p, ks, g, n, m, n, scratch,
+      [&](int jc, int pc, int kc_eff, int q, T* dst) {
+        const int j0 = jc + q * ks.nr;
+        const int cols = std::min(ks.nr, m - j0);
+        detail::pack_b<T>(b + static_cast<long>(pc) * ldb + j0, ldb, kc_eff,
+                          cols, ks.nr, dst);
+      },
+      [&](int jc, int pc, int nc_eff, int kc_eff, bool first_of_jc, int ic,
+          int mc_eff, T* a_pack, const T* b_buf) {
+        if (first_of_jc) {
+          detail::scale_rows_range(c + jc, static_cast<long>(ldc), ic,
+                                   ic + mc_eff, nc_eff, beta);
+        }
+        detail::pack_a_sym<T>(a, lda, lower, ic, pc, mc_eff, kc_eff, ks.mr,
+                              a_pack);
+        detail::macro_kernel<T>(ks, mc_eff, nc_eff, kc_eff, alpha, a_pack,
+                                b_buf, c + static_cast<long>(ic) * ldc + jc,
+                                ldc);
+      });
 }
 
 void ssymm(Uplo uplo, int n, int m, float alpha, const float* a, int lda,

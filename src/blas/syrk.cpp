@@ -35,9 +35,17 @@ void scale_triangle_rows(Uplo uplo, int n, T beta, T* c, int ldc, int row_lo,
   }
 }
 
-/// Area-balanced triangle row partition (shared helper in gemm.h).
+/// Balanced row partition of the triangle: thread t's range starts where
+/// ~t/p of the triangle's *area* has been covered, not of the rows (row i
+/// of a lower triangle costs i+1 column updates).
 int triangle_split(Uplo uplo, int n, std::size_t t, std::size_t p) {
-  return detail::triangle_split(uplo == Uplo::kLower, n, t, p);
+  const double frac = static_cast<double>(t) / static_cast<double>(p);
+  if (uplo == Uplo::kLower) {
+    // rows [0, r) hold fraction (r/n)^2 of the area.
+    return static_cast<int>(std::floor(n * std::sqrt(frac)));
+  }
+  // upper triangle: rows [0, r) hold 1 - ((n-r)/n)^2 of the area.
+  return static_cast<int>(std::floor(n * (1.0 - std::sqrt(1.0 - frac))));
 }
 
 /// Blocked rank-k update of rows [row_lo, row_hi) of the triangle, using the
@@ -65,11 +73,12 @@ void syrk_rows_blocked(const kernels::KernelSet<T>& ks, Uplo uplo, Trans trans,
   const int col_hi = uplo == Uplo::kLower ? row_hi : n;
 
   // Private packing scratch (this schedule is barrier-free, so each thread
-  // owns both panels), carved from the thread's arena slab in one piece.
-  const auto carve =
-      detail::carve_private_panels<T>(ks, mc, kc, nc, col_hi - col_lo);
+  // owns both panels): the one-participant carve, from the thread's arena
+  // slab in one piece.
+  const auto carve = detail::carve_loop_scratch<T>(1, ks, {mc, kc, nc},
+                                                   col_hi - col_lo);
   T* a_pack = carve.a_pack;
-  T* b_pack = carve.b_pack;
+  T* b_pack = carve.b_bufs[0];
   T tile[kernels::kMaxMr * kernels::kMaxNr];
 
   for (int jc = col_lo; jc < col_hi; jc += nc) {

@@ -1,8 +1,9 @@
 // Unit tests for the common utilities: aligned buffers, RNG, stats, CSV,
-// JSON, thread pool, spin barrier.
+// JSON, thread pool, packing arena.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -11,7 +12,6 @@
 #include <thread>
 
 #include "common/aligned_buffer.h"
-#include "common/barrier.h"
 #include "common/csv.h"
 #include "common/json.h"
 #include "common/pack_arena.h"
@@ -369,7 +369,7 @@ TEST(PackArena, ConcurrentRegionsDontAliasSlabs) {
   constexpr std::size_t kElems = 4096;
   ThreadPool pool(kThreads - 1);
   PackArena arena;
-  SpinBarrier barrier(kThreads);
+  std::barrier barrier(static_cast<std::ptrdiff_t>(kThreads));
   std::atomic<bool> corrupted{false};
   pool.parallel_region(kThreads, [&](std::size_t tid, std::size_t) {
     float* slab = arena.thread_slab<float>(kElems);
@@ -382,25 +382,6 @@ TEST(PackArena, ConcurrentRegionsDontAliasSlabs) {
     }
   });
   EXPECT_FALSE(corrupted.load());
-}
-
-TEST(SpinBarrier, SynchronisesPhases) {
-  constexpr std::size_t kThreads = 4;
-  SpinBarrier barrier(kThreads);
-  std::atomic<int> phase0{0};
-  std::vector<std::thread> threads;
-  std::atomic<bool> violated{false};
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      phase0.fetch_add(1);
-      barrier.arrive_and_wait();
-      // After the barrier every thread must observe all phase-0 increments.
-      if (phase0.load() != kThreads) violated = true;
-      barrier.arrive_and_wait();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(violated.load());
 }
 
 }  // namespace

@@ -2,14 +2,15 @@
 // (blas/pack_pipeline.h): the ping/pong PackPipeline epochs and the
 // TileDeck steal index are hammered directly from raw std::threads (the
 // TSan CI leg runs this binary), and the pipelined GEMM/SYMM/TRMM drivers
-// are verified against their references on the adversarial shapes the old
-// static row split handled worst — tall-skinny, wide, fewer row tiles than
-// threads, and a k < kc single-panel degenerate.
+// are verified against their references on the adversarial shapes a
+// static row split handles worst — tall-skinny, wide, fewer row tiles than
+// threads, and a k < kc single-panel degenerate — and bit for bit across
+// thread counts, including the p = 1 calls that nested regions make.
 //
 // The global pool is forced to 4 threads via ADSALA_THREADS before its
 // first use (the static initializer below runs pre-main): on a small CI
-// host the parallel paths would otherwise resolve to one thread and the
-// pipeline would never engage.
+// host every call would otherwise resolve to one thread and the pack-ahead
+// and tile stealing would never engage.
 #include <gtest/gtest.h>
 
 #include <atomic>
