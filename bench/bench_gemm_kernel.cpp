@@ -11,7 +11,9 @@
 // small-GEMM regime the PackArena + spin-wait fork/join changes target.
 // BM_TrsmDiagSolve times each variant's TRSM diagonal-block solve
 // (KernelSet::trsm_solve) alone, outside the trailing GEMM updates.
-// BM_SsymmSquare and BM_StrmmSquare time p = 1 SYMM and TRMM.
+// BM_SsymmSquare and BM_StrmmSquare time p = 1 SYMM and TRMM, and
+// BM_SsyrkSquare times SYRK (square, skinny-n and wide shapes) at p = 1
+// and at the pool maximum.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,12 +23,14 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "blas/gemm.h"
 #include "blas/kernels/dispatch.h"
 #include "blas/pack_pipeline.h"
 #include "blas/symm.h"
+#include "blas/syrk.h"
 #include "blas/trmm.h"
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
@@ -90,6 +94,27 @@ void BM_SsymmSquare(benchmark::State& state, kernels::Variant variant) {
   }
   state.counters["GFLOPS"] = benchmark::Counter(
       2.0 * dim * dim * dim * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_SsyrkSquare(benchmark::State& state, kernels::Variant variant) {
+  // Args: n, k, threads (0 = pool maximum). C = A * A^T over the lower
+  // triangle with beta = 0, so repeated calls do not drift.
+  const auto n = static_cast<int>(state.range(0));
+  const auto k = static_cast<int>(state.range(1));
+  const auto threads = static_cast<int>(state.range(2));
+  AlignedBuffer<float> a(static_cast<std::size_t>(n) * k);
+  AlignedBuffer<float> c(static_cast<std::size_t>(n) * n);
+  fill_random(a, 19);
+  const auto tuning = tuning_for(variant);
+  for (auto _ : state) {
+    blas::syrk<float>(blas::Uplo::kLower, blas::Trans::kNo, n, k, 1.0f,
+                      a.data(), k, 0.0f, c.data(), n, threads, tuning);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      blas::syrk_flops(n, k) * static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
 
@@ -367,6 +392,8 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(("BM_SgemmSquare/" + suffix).c_str(),
                                  BM_SgemmSquare, variant)
         ->ArgsProduct({{128, 512, 1024}, {1, 4, 0 /* all */}})
+        // 16^3 at p = 1: the macro-loop's fixed per-call cost, not GFLOPS.
+        ->Args({16, 1})
         ->Unit(benchmark::kMicrosecond);
     // p = 1 SYMM and TRMM beside the p = 1 GEMM rows: the single-thread
     // path of the shared macro-loop for the other two ops that run it.
@@ -378,6 +405,17 @@ int main(int argc, char** argv) {
                                  BM_StrmmSquare, variant)
         ->ArgsProduct({{64, 256}, {1}})
         ->Unit(benchmark::kMicrosecond);
+    // SYRK on the shared macro-loop: square n = k, skinny n (64 x 8000,
+    // where op(A)^T is most of the traffic) and wide n (1500 x 64), each
+    // at p = 1 and p = max.
+    auto* syrk = benchmark::RegisterBenchmark(
+        ("BM_SsyrkSquare/" + suffix).c_str(), BM_SsyrkSquare, variant);
+    for (const auto& [n, k] : {std::pair{64, 64}, std::pair{200, 200},
+                               std::pair{1000, 1000}, std::pair{64, 8000},
+                               std::pair{1500, 64}}) {
+      syrk->Args({n, k, 1})->Args({n, k, 0 /* all */});
+    }
+    syrk->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("BM_SgemmSkinny/" + suffix).c_str(),
                                  BM_SgemmSkinny, variant)
         ->ArgsProduct({{512, 2048}, {1, 4, 0}})

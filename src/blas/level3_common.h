@@ -15,7 +15,9 @@
 // The degenerate pass deliberately stays *ahead* of block_geometry: it must
 // not depend on tuning fields (a beta-only call with a nonsense tuning.kc is
 // still a valid BLAS call), and hoisting it here makes that invariant
-// structural instead of per-file.
+// structural instead of per-file. SYRK looks its kernel set up ahead of
+// resolve_threads, to cap the thread count at its MR-row micro-tiles; that
+// lookup reads tuning.variant only, never a blocking field.
 #pragma once
 
 #include <algorithm>
@@ -133,8 +135,7 @@ T* thread_slab_or_fallback(std::size_t count,
 ///           b_bufs[0] == b_bufs[1]. Calls nested in a region collapse to
 ///           p = 1 and run concurrently, so they must never touch the one
 ///           shared slab; and one participant packs each panel just before
-///           computing it, so one B buffer suffices. SYRK's participants,
-///           whose panels are all private, carve this way too.
+///           computing it, so one B buffer suffices.
 template <typename T>
 struct LoopScratch {
   T* lead = nullptr;
@@ -194,15 +195,15 @@ void macro_kernel(const kernels::KernelSet<T>& ks, int mc_eff, int nc_eff,
   }
 }
 
-/// The level-3 macro-loop, run by EVERY participant of a call (GEMM, SYMM
-/// and TRMM, at every thread count). Enumerates the (jc, pc) panel grid in
-/// order; MC-row tiles of each panel are claimed through the stealable
-/// deck. With several participants, the cooperative pack of the NEXT panel
-/// proceeds into the other half of the ping/pong pair while this panel is
-/// computed. With one there is nothing to overlap: each panel is packed
-/// just before it is computed, into the single buffer (b_bufs[0] may equal
-/// b_bufs[1]; PackPipeline keeps its epochs per buffer slot, and no panel is
-/// packed ahead).
+/// The level-3 macro-loop, run by EVERY participant of a call (GEMM, SYRK,
+/// SYMM and TRMM, at every thread count). Enumerates the (jc, pc) panel
+/// grid in order; MC-row tiles of each panel are claimed through the
+/// stealable deck. With several participants, the cooperative pack of the
+/// NEXT panel proceeds into the other half of the ping/pong pair while this
+/// panel is computed. With one there is nothing to overlap: each panel is
+/// packed just before it is computed, into the single buffer (b_bufs[0] may
+/// equal b_bufs[1]; PackPipeline keeps its epochs per buffer slot, and no
+/// panel is packed ahead).
 ///
 ///   pack_chunk(jc, pc, kc_eff, q, dst)
 ///     packs NR-column micro-panel q (columns [jc + q*nr, ...)) of the
@@ -343,22 +344,31 @@ void scale_rows_range(T* c, long ldc, int row_lo, int row_hi, int ncols,
   }
 }
 
-/// Parallel `row *= factor` pass over an nrows x ncols row-major block.
-/// This is the whole of a degenerate level-3 call: GEMM/SYMM with k == 0 or
-/// alpha == 0 reduce to C *= beta, TRMM with alpha == 0 to B = 0, and
-/// TRSM's up-front right-hand-side scaling to B *= alpha.
-template <typename T>
-void scale_rows_pass(std::size_t p, int nrows, int ncols, T factor, T* c,
-                     long ldc) {
-  if (nrows <= 0 || ncols <= 0 || factor == T(1)) return;
+/// Runs fn(row_lo, row_hi) over p even chunks of rows [0, nrows), one per
+/// participant of a parallel region.
+template <typename Fn>
+void row_chunks_pass(std::size_t p, int nrows, Fn&& fn) {
   ThreadPool::global().parallel_region(
       p, [&](std::size_t tid, std::size_t nt) {
         const int chunk = static_cast<int>(
             (static_cast<std::size_t>(nrows) + nt - 1) / nt);
         const int lo = static_cast<int>(tid) * chunk;
-        const int hi = std::min(nrows, lo + chunk);
-        scale_rows_range(c, ldc, lo, hi, ncols, factor);
+        fn(lo, std::min(nrows, lo + chunk));
       });
+}
+
+/// Parallel `row *= factor` pass over an nrows x ncols row-major block.
+/// This is the whole of a degenerate level-3 call: GEMM/SYMM with k == 0 or
+/// alpha == 0 reduce to C *= beta, TRMM with alpha == 0 to B = 0, and
+/// TRSM's up-front right-hand-side scaling to B *= alpha. (SYRK's
+/// degenerate pass scales only its triangle over the same chunks.)
+template <typename T>
+void scale_rows_pass(std::size_t p, int nrows, int ncols, T factor, T* c,
+                     long ldc) {
+  if (nrows <= 0 || ncols <= 0 || factor == T(1)) return;
+  row_chunks_pass(p, nrows, [&](int lo, int hi) {
+    scale_rows_range(c, ldc, lo, hi, ncols, factor);
+  });
 }
 
 }  // namespace adsala::blas::detail

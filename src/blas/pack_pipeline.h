@@ -34,8 +34,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <vector>
 
 namespace adsala::blas::detail {
 
@@ -145,6 +145,9 @@ class PackPipeline {
 
   void bump(std::atomic<long>& epoch) {
     epoch.fetch_add(1, std::memory_order_release);
+    // A lone participant bumps every epoch it waits on before waiting, so
+    // it never parks and there is no one to wake.
+    if (nt_ == 1) return;
     // Waiters past their spin budget are parked on cv_; the lock orders
     // this notify after their predicate re-check, mirroring the pool.
     std::lock_guard lock(mutex_);
@@ -193,11 +196,15 @@ class TileDeck {
       : nt_(static_cast<int>(participants)),
         tiles_(tiles),
         stride_(static_cast<long>(tiles) + 1),
-        cursors_(participants) {
+        others_(participants > 1
+                    ? std::make_unique<Cursor[]>(participants - 1)
+                    : nullptr) {
     // Tag every cursor with panel -1 (exactly -stride_, so the truncating
     // division below still recovers the tag): a panel-0 claim must start at
     // the deque's own lo, not at the zero-initialised cursor's "next 0".
-    for (auto& c : cursors_) c.value.store(-stride_, std::memory_order_relaxed);
+    for (int v = 0; v < nt_; ++v) {
+      cursor(v).store(-stride_, std::memory_order_relaxed);
+    }
   }
 
   TileDeck(const TileDeck&) = delete;
@@ -235,7 +242,7 @@ class TileDeck {
     const int lo = owned_lo(v);
     const int hi = owned_hi(v);
     if (lo >= hi) return -1;
-    std::atomic<long>& cur = cursors_[v].value;
+    std::atomic<long>& cur = cursor(v);
     long seen = cur.load(std::memory_order_relaxed);
     while (true) {
       const long tag = seen / stride_;
@@ -253,10 +260,17 @@ class TileDeck {
     std::atomic<long> value{0};
   };
 
+  std::atomic<long>& cursor(int v) {
+    return v == 0 ? first_.value : others_[v - 1].value;
+  }
+
   const int nt_;
   const int tiles_;
   const long stride_;
-  std::vector<Cursor> cursors_;
+  /// Thread 0's cursor lives inline, so a one-participant deck makes no
+  /// heap allocation; threads 1..nt-1 get theirs from the heap.
+  Cursor first_;
+  std::unique_ptr<Cursor[]> others_;
 };
 
 }  // namespace adsala::blas::detail

@@ -6,13 +6,14 @@
 //   C <- alpha * A^T * A + beta * C        (trans == kYes, A is k x n)
 //
 // Row-major; only the `uplo` triangle of C (including the diagonal) is
-// referenced and updated. Threading partitions the row blocks of the
-// triangle with a balanced assignment (lower rows carry more work).
+// referenced and updated.
 //
-// The update runs on the same packed-panel machinery as GEMM: operands are
-// packed into micro-panels and multiplied by the runtime-dispatched
-// KernelSet; tiles crossing the diagonal are computed into a scratch tile
-// and written back through a triangle mask.
+// The update runs through GEMM's macro-loop (detail::run_macro_loop) as the
+// (n, n, k) product op(A) * op(A)^T: op(A)^T is the cooperatively packed B
+// panel, MC-row tiles are claimed through the steal deck, and row tiles
+// outside a column block's triangle are skipped. Tiles crossing the
+// diagonal are computed into a scratch tile and written back through a
+// triangle mask. Results are bit-identical at every thread count.
 #pragma once
 
 #include "blas/gemm.h"

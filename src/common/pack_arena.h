@@ -11,10 +11,10 @@
 // shape, repeated calls perform zero heap allocations.
 //
 // Layout: one thread_local slab per OS thread for the packing scratch only
-// that thread touches (A panels, and the barrier-free ops' private B
-// panels), plus one shared slab per arena for buffers every participant of
-// a parallel region reads (GEMM's cooperatively packed B block, TRMM's
-// dense B copy). Keying the private slabs by OS thread — not by pool slot —
+// that thread touches (A panels, and the whole carve of a one-participant
+// call), plus one shared slab per arena for buffers every participant of
+// a parallel region reads (the cooperatively packed B block, TRMM's dense
+// B copy). Keying the private slabs by OS thread — not by pool slot —
 // makes them race-free by construction: any number of threads, from any
 // number of ThreadPool instances or none, get private storage, exactly the
 // safety envelope of the per-call buffers this arena replaced. Each slab is

@@ -560,27 +560,30 @@ TEST(ArenaFaults, TrmmStaysCorrectWhenArenaGrowthFails) {
 }
 
 TEST(ArenaFaults, SyrkStaysCorrectWhenArenaGrowthFails) {
-  // SYRK's packed-panel path carves both A-panels from the arena; with
-  // growth refused it must fall back per-call and keep the triangle exact.
+  // SYRK carves the shared op(A)^T panels and each participant's A block
+  // from the arena; with growth refused both must fall back per-call and
+  // keep the triangle exact, for either triangle and either orientation.
   const int n = 120, k = 60;
   std::vector<float> a(static_cast<std::size_t>(n) * k);
   for (std::size_t i = 0; i < a.size(); ++i) {
     a[i] = static_cast<float>(i % 13) - 6.0f;
   }
-  std::vector<float> c(static_cast<std::size_t>(n) * n, 2.0f);
-  auto c_ref = c;
-  {
-    failpoint::Scoped fp("arena-oom");
-    blas::ssyrk(blas::Uplo::kLower, blas::Trans::kNo, n, k, 1.0f, a.data(), k,
-                0.25f, c.data(), n, 4);
-  }
-  blas::reference_syrk<float>(blas::Uplo::kLower, blas::Trans::kNo, n, k,
-                              1.0f, a.data(), k, 0.25f, c_ref.data(), n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j <= i; ++j) {
-      ASSERT_NEAR(c[static_cast<std::size_t>(i) * n + j],
-                  c_ref[static_cast<std::size_t>(i) * n + j], 1e-3f)
-          << "at (" << i << ", " << j << ")";
+  for (const auto [uplo, trans] :
+       {std::pair{blas::Uplo::kLower, blas::Trans::kNo},
+        std::pair{blas::Uplo::kUpper, blas::Trans::kYes}}) {
+    const int lda = trans == blas::Trans::kNo ? k : n;
+    std::vector<float> c(static_cast<std::size_t>(n) * n, 2.0f);
+    auto c_ref = c;
+    {
+      failpoint::Scoped fp("arena-oom");
+      blas::ssyrk(uplo, trans, n, k, 1.0f, a.data(), lda, 0.25f, c.data(), n,
+                  4);
+    }
+    blas::reference_syrk<float>(uplo, trans, n, k, 1.0f, a.data(), lda,
+                                0.25f, c_ref.data(), n);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_NEAR(c[i], c_ref[i], 1e-3f)
+          << "at " << i << " uplo=" << static_cast<int>(uplo);
     }
   }
 }
@@ -674,6 +677,19 @@ TEST(ArenaFaults, SerialCallDegradesToo) {
       ASSERT_FLOAT_EQ(b_sq[static_cast<std::size_t>(i) * n + j],
                       0.5f * 2.0f * static_cast<float>(i + 1))
           << "trmm at (" << i << ", " << j << ")";
+    }
+  }
+
+  // SYRK of the all-0.5 m x k A: every lower-triangle entry is 0.25 * k,
+  // and the strict upper triangle keeps its 7s.
+  std::vector<float> c_sq(static_cast<std::size_t>(m) * m, 7.0f);
+  blas::ssyrk(blas::Uplo::kLower, blas::Trans::kNo, m, k, 1.0f, a.data(), k,
+              0.0f, c_sq.data(), m, 1);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < m; ++j) {
+      ASSERT_FLOAT_EQ(c_sq[static_cast<std::size_t>(i) * m + j],
+                      j <= i ? 0.25f * k : 7.0f)
+          << "syrk at (" << i << ", " << j << ")";
     }
   }
 }

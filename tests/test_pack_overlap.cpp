@@ -1,11 +1,11 @@
 // Concurrency and ragged-shape coverage for the pack pipeline
 // (blas/pack_pipeline.h): the ping/pong PackPipeline epochs and the
 // TileDeck steal index are hammered directly from raw std::threads (the
-// TSan CI leg runs this binary), and the pipelined GEMM/SYMM/TRMM drivers
-// are verified against their references on the adversarial shapes a
-// static row split handles worst — tall-skinny, wide, fewer row tiles than
-// threads, and a k < kc single-panel degenerate — and bit for bit across
-// thread counts, including the p = 1 calls that nested regions make.
+// TSan CI leg runs this binary), and the pipelined GEMM/SYRK/SYMM/TRMM
+// drivers are verified against their references on the adversarial shapes
+// a static row split handles worst — tall-skinny, wide, fewer row tiles
+// than threads, and a k < kc single-panel degenerate — and bit for bit
+// across thread counts, including the p = 1 calls that nested regions make.
 //
 // The global pool is forced to 4 threads via ADSALA_THREADS before its
 // first use (the static initializer below runs pre-main): on a small CI
@@ -24,6 +24,7 @@
 #include "blas/gemm.h"
 #include "blas/pack_pipeline.h"
 #include "blas/symm.h"
+#include "blas/syrk.h"
 #include "blas/trmm.h"
 #include "common/pack_arena.h"
 #include "common/rng.h"
@@ -298,6 +299,30 @@ void expect_symm_bit_identical() {
 }
 
 template <typename T>
+void expect_syrk_bit_identical() {
+  const int n = 259, k = 131;  // off every blocking grid
+  const auto a = random_matrix<T>(n, k, 29);  // n x k, or k x n transposed
+  const auto c0 = random_matrix<T>(n, n, 30);
+  for (const auto& [tuning, label] : bit_identity_tunings()) {
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+        const int lda = trans == Trans::kNo ? k : n;
+        expect_bit_identical_across_threads(
+            [&](int nthreads) {
+              auto c = c0;
+              syrk<T>(uplo, trans, n, k, T(1.5), a.data(), lda, T(0.25),
+                      c.data(), n, nthreads, tuning);
+              return c;
+            },
+            "syrk uplo=" + std::to_string(static_cast<int>(uplo)) +
+                " trans=" + std::to_string(static_cast<int>(trans)) + ", " +
+                label);
+      }
+    }
+  }
+}
+
+template <typename T>
 void expect_trmm_bit_identical() {
   const int n = 259, m = 203;
   const auto a = random_matrix<T>(n, n, 27);
@@ -331,10 +356,12 @@ TEST(RaggedShapes, ResultsBitIdenticalAcrossThreadCountsAndRuns) {
   expect_gemm_bit_identical<double>();
   expect_symm_bit_identical<float>();
   expect_trmm_bit_identical<float>();
+  expect_syrk_bit_identical<float>();
+  expect_syrk_bit_identical<double>();
 }
 
 TEST(RaggedShapes, NestedCallsMatchTopLevelSerialCalls) {
-  // Four pool participants each run GEMM, SYMM and TRMM on their own
+  // Four pool participants each run GEMM, SYMM, TRMM and SYRK on their own
   // operands at once. Inside a region every call collapses to p = 1, so
   // four p = 1 calls run concurrently: their packing scratch must come from
   // each caller's own thread slab, never from the one shared slab, or the
@@ -356,16 +383,18 @@ TEST(RaggedShapes, NestedCallsMatchTopLevelSerialCalls) {
   }
 
   struct Outputs {
-    std::vector<float> gemm, symm, trmm;
+    std::vector<float> gemm, symm, trmm, syrk;
   };
   auto run_all = [&](const Operands& o) {
-    Outputs out{o.c, o.c, o.b_tri};
+    Outputs out{o.c, o.c, o.b_tri, o.sym};
     gemm<float>(Trans::kNo, Trans::kNo, m, n, k, 1.5f, o.a.data(), k,
                 o.b.data(), n, 0.25f, out.gemm.data(), n, 1);
     symm<float>(Uplo::kLower, m, n, 1.5f, o.sym.data(), m, o.c.data(), n,
                 0.25f, out.symm.data(), n, 1);
     trmm<float>(Uplo::kUpper, Trans::kNo, Diag::kNonUnit, m, n, 1.25f,
                 o.tri.data(), m, out.trmm.data(), n, 1);
+    syrk<float>(Uplo::kLower, Trans::kNo, m, k, 1.5f, o.a.data(), k, 0.25f,
+                out.syrk.data(), m, 1);
     return out;
   };
 
@@ -394,6 +423,7 @@ TEST(RaggedShapes, NestedCallsMatchTopLevelSerialCalls) {
     check(nested[t].gemm, expected[t].gemm, "gemm");
     check(nested[t].symm, expected[t].symm, "symm");
     check(nested[t].trmm, expected[t].trmm, "trmm");
+    check(nested[t].syrk, expected[t].syrk, "syrk");
   }
 }
 
@@ -432,7 +462,32 @@ TEST(RaggedShapes, PipelineCountersMatchSchedule) {
   EXPECT_GE(row_tiles, 5u);  // m=1201 over mc<=256 is at least 5 tiles
 }
 
-// ----------------------------------------------- SYMM / TRMM through it --
+// ----------------------------------------- SYRK / SYMM / TRMM through it --
+
+TEST(RaggedShapes, SyrkMatchesReference) {
+  // n = 8 is fewer MR-row tiles than threads; n = 257 with k = 7 is a
+  // single sub-kc panel; 64 x 2000 is the skinny-n regime.
+  for (const auto [n, k] : {std::pair{131, 257}, std::pair{8, 512},
+                            std::pair{257, 7}, std::pair{64, 2000}}) {
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+        const auto a = random_matrix<float>(n, k, 37);
+        const int lda = trans == Trans::kNo ? k : n;
+        auto c = random_matrix<float>(n, n, 38);
+        auto c_ref = c;
+        syrk<float>(uplo, trans, n, k, 1.5f, a.data(), lda, -0.5f, c.data(),
+                    n, 0);
+        reference_syrk<float>(uplo, trans, n, k, 1.5f, a.data(), lda, -0.5f,
+                              c_ref.data(), n);
+        const double tol = 1e-4 * k;
+        for (long i = 0; i < static_cast<long>(n) * n; ++i) {
+          ASSERT_NEAR(c[i], c_ref[i], tol)
+              << "n=" << n << " k=" << k << " i=" << i;
+        }
+      }
+    }
+  }
+}
 
 TEST(RaggedShapes, SymmMatchesReference) {
   for (const auto [n, m] : {std::pair{131, 257}, std::pair{8, 512},
