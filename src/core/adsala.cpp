@@ -20,8 +20,8 @@ namespace adsala::core {
 namespace {
 
 /// Format stamps written by save() and validated by try_load(). Absent
-/// stamps are accepted (every artefact before this PR lacks them — the
-/// schema-width tiers disambiguate those); a *wrong* stamp means the file
+/// stamps are accepted (older artefacts lack them, and their columns are
+/// read by name like any other); a *wrong* stamp means the file
 /// is from an incompatible future version and must be rejected rather than
 /// half-decoded.
 constexpr const char* kModelFormat = "adsala/model/v1";
@@ -74,17 +74,6 @@ bool inject_nan(Json& blob) {
     }
   }
   return false;
-}
-
-/// True when `width` is one of the known fitted-schema widths: the PR-1
-/// numeric-only 17, or an op-aware tier between the PR-2 floor (21) and the
-/// current full schema. Anything else is an artefact from an incompatible
-/// build and must not be served (make_query_features would build garbage
-/// rows for it).
-bool known_schema_width(std::size_t width) {
-  return width == preprocess::kNumFeatures ||
-         (width >= preprocess::kNumLegacyOpAwareFeatures &&
-          width <= preprocess::kNumOpAwareFeatures);
 }
 
 /// The shared validation ladder: decoded blobs in, a ready-to-publish
@@ -158,13 +147,18 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
   } catch (const std::exception&) {
     return validation_error(config_label, "malformed pipeline section");
   }
-  if (!known_schema_width(pipeline.n_input_features())) {
-    return validation_error(
-        config_label,
-        "unknown pipeline schema width " +
-            std::to_string(pipeline.n_input_features()) +
-            " (known: 17, 21.." +
-            std::to_string(preprocess::kNumOpAwareFeatures) + ")");
+  // Queries are built by column name, so every input column must name a
+  // query feature, once.
+  const std::vector<std::size_t>& columns = pipeline.schema_columns();
+  for (auto col = columns.begin(); col != columns.end(); ++col) {
+    const bool unknown = *col == preprocess::kNoSchemaColumn;
+    if (unknown || std::find(columns.begin(), col, *col) != col) {
+      return validation_error(
+          config_label,
+          std::string(unknown ? "unknown" : "repeated") +
+              " feature column '" +
+              pipeline.input_feature_names()[col - columns.begin()] + "'");
+    }
   }
 
   // --- model validation (kValidationError) --------------------------------
@@ -506,10 +500,11 @@ void AdsalaGemm::save(const std::string& model_path,
 int AdsalaGemm::select_threads(blas::OpKind op, long x, long y, long z,
                                int elem_bytes) const {
   // The registry canonicalises the family coordinates into the stored
-  // equivalent-GEMM shape, which serves every schema tier: an op-aware
-  // pipeline differentiates via the op_* one-hots, an older one sees the
-  // plain GEMM-proxy query of the same shape, and the heuristic fallback
-  // applies its occupancy rule to the same equivalent-GEMM work.
+  // equivalent-GEMM shape, which serves every artefact: an op-aware
+  // pipeline differentiates via the op_* one-hots, one without the op's
+  // column sees the plain GEMM-proxy query of the same shape, and the
+  // heuristic fallback applies its occupancy rule to the same
+  // equivalent-GEMM work.
   const simarch::GemmShape shape = op_traits(op).to_shape(x, y, z, elem_bytes);
   return active()->select_threads(op, shape.m, shape.k, shape.n, elem_bytes);
 }

@@ -18,10 +18,10 @@
 // any in-process caller concurrently.
 //
 // Queries are built against the feature schema the installed pipeline was
-// fitted with (the single source of truth is preprocess/features.h): the
-// fitted input width says how many op one-hot columns the artefact carries,
-// and any operation registered *after* the artefact was trained — or every
-// operation, for a PR-1-era 17-column artefact — transparently degrades to
+// fitted with (the single source of truth is preprocess/features.h): its
+// columns are matched to the canonical schema by name, and any operation
+// without an op_* column in the artefact — every operation, for an
+// artefact that predates the op one-hots — transparently degrades to
 // the GEMM-proxy heuristic: the model is queried with the equivalent-work
 // shape (SYRK: (n, k, n); TRSM/SYMM/TRMM: (n, n, m)), whose parallel
 // structure transfers approximately.

@@ -34,8 +34,8 @@ std::uint64_t MemoCache::pack_key(blas::OpKind op, long m, long k, long n,
 ServingMode ServingSnapshot::mode_for(blas::OpKind op) const {
   if (model == nullptr) return ServingMode::kHeuristicFallback;
   if (op == blas::OpKind::kGemm) return ServingMode::kModelServed;
-  if (op_aware() && preprocess::op_served_first_class(
-                        op, pipeline.n_input_features())) {
+  if (op_aware() &&
+      preprocess::op_served_first_class(op, pipeline.schema_columns())) {
     return ServingMode::kModelServed;
   }
   return ServingMode::kGemmProxy;
@@ -46,9 +46,12 @@ bool ServingSnapshot::op_aware() const {
   // gathered with the op-aware schema drops the constant op_* columns at fit
   // time and therefore answers family queries exactly like the proxy.
   if (model == nullptr) return false;
-  const auto& names = pipeline.input_feature_names();
   for (std::size_t j : pipeline.kept_features()) {
-    if (names[j].rfind("op_", 0) == 0) return true;
+    const std::size_t col = pipeline.schema_columns()[j];
+    if (col >= preprocess::kNumFeatures &&
+        col < preprocess::kNumFeatures + blas::kNumOps) {
+      return true;
+    }
   }
   return false;
 }

@@ -1,11 +1,9 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 
-#include "blas/kernels/dispatch.h"
 #include "common/timer.h"
 #include "ml/metrics.h"
 #include "preprocess/features.h"
@@ -32,24 +30,16 @@ std::size_t predict_best_grid_index(const ml::Regressor& model,
                                     blas::OpKind op,
                                     blas::kernels::Variant variant) {
   if (thread_grid.empty()) return 0;
-  // The fitted input width decides the raw-row layout (current 25-column
-  // schema, the 24/23/21-column legacy tiers, or the PR-1 numeric-only 17);
-  // the schema tiers live in preprocess::make_query_features.
-  const std::size_t width = pipeline.n_input_features();
-  if (width > preprocess::kNumFeatures &&
-      variant == blas::kernels::Variant::kAuto) {
-    variant = blas::kernels::active_variant();
-  }
   // The grid rows differ only in their thread columns: build and
   // transform the query row once, then rewrite just the kept thread
   // columns per grid point, and score every row in one predict_grid call.
   // The rows live in one buffer per thread, so after a thread's first call
   // a cold selection allocates nothing.
-  std::array<double, preprocess::kNumOpAwareFeatures> raw{};
-  preprocess::fill_query_features(
-      static_cast<double>(shape.m), static_cast<double>(shape.k),
+  const std::vector<std::size_t>& columns = pipeline.schema_columns();
+  auto raw = preprocess::make_query_row(
+      columns, static_cast<double>(shape.m), static_cast<double>(shape.k),
       static_cast<double>(shape.n), static_cast<double>(thread_grid[0]), op,
-      variant, width, raw);
+      variant);
   const std::vector<std::size_t>& keep = pipeline.kept_features();
   const std::size_t cols = keep.size();
   const std::size_t n_rows = thread_grid.size();
@@ -57,15 +47,17 @@ std::size_t predict_best_grid_index(const ml::Regressor& model,
   rows.resize(n_rows * cols);
   preds.resize(n_rows);
   for (std::size_t pos = 0; pos < cols; ++pos) {
-    rows[pos] = pipeline.transform_kept(pos, raw[keep[pos]]);
+    // at(): a kept column outside the schema (kNoSchemaColumn) throws.
+    rows[pos] = pipeline.transform_kept(pos, raw.at(columns[keep[pos]]));
   }
   for (std::size_t t = 1; t < n_rows; ++t) {
     preprocess::set_thread_features(static_cast<double>(thread_grid[t]), raw);
     double* row = rows.data() + t * cols;
     std::copy_n(rows.data(), cols, row);
     for (std::size_t pos = 0; pos < cols; ++pos) {
-      if (preprocess::is_thread_feature(keep[pos])) {
-        row[pos] = pipeline.transform_kept(pos, raw[keep[pos]]);
+      const std::size_t col = columns[keep[pos]];
+      if (preprocess::is_thread_feature(col)) {
+        row[pos] = pipeline.transform_kept(pos, raw[col]);
       }
     }
   }

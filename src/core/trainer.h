@@ -66,14 +66,11 @@ TrainOutput train_and_select(const GatherData& gathered,
 /// pipeline over a thread grid (the runtime argmin loop, shared with
 /// AdsalaGemm). Returns the grid index of the argmin.
 ///
-/// The raw feature row is built to match the pipeline's fitted input width
-/// (preprocess::make_query_features): a current 23-column pipeline gets the
-/// full op / kernel one-hot block from `op` and `variant` (kAuto resolves to
-/// the active dispatch); a PR-2-era 21-column pipeline sees gemm/syrk
-/// one-hots only, with TRSM/SYMM proxied as GEMM; a PR-1-era 17-column
-/// pipeline ignores the one-hots entirely — every non-GEMM query then
-/// degrades to the GEMM-proxy heuristic, since its shape already carries the
-/// equivalent-GEMM dimensions.
+/// The query row is matched to the pipeline's input columns by name
+/// (preprocess::make_query_row): an op or kernel variant the artefact has
+/// no one-hot column for is queried as GEMM or as the nearest lower tier it
+/// has, and kAuto resolves to the active dispatch. Every kept column must
+/// name a query feature; otherwise this throws std::out_of_range.
 std::size_t predict_best_grid_index(
     const ml::Regressor& model, const preprocess::Pipeline& pipeline,
     const simarch::GemmShape& shape, std::span<const int> thread_grid,

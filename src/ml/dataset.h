@@ -6,8 +6,8 @@
 //
 // The container is schema-agnostic: columns are identified only by the name
 // list passed at construction. The canonical ADSALA column lists (17-column
-// Table II base schema and the 23-column op-aware schema with the one-hot
-// op_* / kernel_* columns) are defined once in preprocess/features.h;
+// Table II base schema and the op-aware schema with the one-hot op_* /
+// kernel_* columns) are defined once in preprocess/features.h;
 // GatherData::to_dataset emits them in that order.
 #pragma once
 

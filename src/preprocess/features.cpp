@@ -1,6 +1,9 @@
 #include "preprocess/features.h"
 
 #include <algorithm>
+#include <stdexcept>
+
+#include "blas/kernels/dispatch.h"
 
 namespace adsala::preprocess {
 
@@ -16,21 +19,23 @@ static_assert([] {
   return true;
 }());
 
-/// Kernel-variant one-hot block appended after the op block. `n_cols` is 3
-/// (current schema: generic, avx2, avx512) or 2 (legacy artefacts, which
-/// predate the AVX-512 tier: an avx512 query is proxied as its nearest
-/// tier, avx2, mirroring the GEMM proxy for unknown ops).
-void set_kernel_onehots(blas::kernels::Variant variant, double* dst,
-                        std::size_t n_cols) {
-  using blas::kernels::Variant;
-  dst[0] = variant == Variant::kGeneric ? 1.0 : 0.0;
-  if (n_cols >= kNumKernelFeatures) {
-    dst[1] = variant == Variant::kAvx2 ? 1.0 : 0.0;
-    dst[2] = variant == Variant::kAvx512 ? 1.0 : 0.0;
-  } else {
-    dst[1] =
-        variant == Variant::kAvx2 || variant == Variant::kAvx512 ? 1.0 : 0.0;
-  }
+// Kernel tiers are ordered generic < avx2 < avx512, both in the Variant
+// enum (from 1; 0 is kAuto) and in the kernel one-hot block.
+static_assert(static_cast<int>(blas::kernels::Variant::kGeneric) == 1 &&
+              static_cast<int>(blas::kernels::Variant::kAvx2) == 2 &&
+              static_cast<int>(blas::kernels::Variant::kAvx512) == 3);
+
+std::size_t op_column(blas::OpKind op) {
+  return kNumFeatures + static_cast<std::size_t>(blas::op_code(op));
+}
+
+/// The kernel one-hot column of a concrete variant.
+std::size_t kernel_column(blas::kernels::Variant variant) {
+  return kNumFeatures + blas::kNumOps + static_cast<std::size_t>(variant) - 1;
+}
+
+bool has_column(std::span<const std::size_t> columns, std::size_t col) {
+  return std::find(columns.begin(), columns.end(), col) != columns.end();
 }
 
 }  // namespace
@@ -100,72 +105,59 @@ std::array<double, kNumOpAwareFeatures> make_op_aware_features(
     blas::kernels::Variant variant) {
   const auto base = make_features(m, k, n, t);
   std::array<double, kNumOpAwareFeatures> out{};
-  for (std::size_t j = 0; j < kNumFeatures; ++j) out[j] = base[j];
-  out[kNumFeatures + static_cast<std::size_t>(blas::op_code(op))] = 1.0;
-  set_kernel_onehots(variant, out.data() + kNumFeatures + blas::kNumOps,
-                     kNumKernelFeatures);
+  std::copy(base.begin(), base.end(), out.begin());
+  out[op_column(op)] = 1.0;
+  if (variant != blas::kernels::Variant::kAuto) {
+    out[kernel_column(variant)] = 1.0;
+  }
   return out;
 }
 
-namespace {
-
-/// Width of the kernel one-hot block an artefact of this fitted width
-/// carries: 3 from kFirstTripleKernelWidth (a frozen historical boundary —
-/// see its definition for why it must not track the live schema constants)
-/// upward, 2 for the closed legacy set {21, 23, 24}.
-std::size_t kernel_cols_for_width(std::size_t pipeline_width) {
-  return pipeline_width >= kFirstTripleKernelWidth ? kNumKernelFeatures
-                                                   : kNumLegacyKernelFeatures;
+std::vector<std::size_t> resolve_columns(std::span<const std::string> names) {
+  const auto& schema = op_aware_feature_names();
+  std::vector<std::size_t> columns;
+  columns.reserve(names.size());
+  for (const auto& name : names) {
+    const auto it = std::find(schema.begin(), schema.end(), name);
+    columns.push_back(it == schema.end()
+                          ? kNoSchemaColumn
+                          : static_cast<std::size_t>(it - schema.begin()));
+  }
+  return columns;
 }
 
-}  // namespace
+bool op_served_first_class(blas::OpKind op,
+                           std::span<const std::size_t> columns) {
+  return op == blas::OpKind::kGemm || has_column(columns, op_column(op));
+}
+
+std::array<double, kNumOpAwareFeatures> make_query_row(
+    std::span<const std::size_t> columns, double m, double k, double n,
+    double t, blas::OpKind op, blas::kernels::Variant variant) {
+  using blas::kernels::Variant;
+  if (!op_served_first_class(op, columns)) op = blas::OpKind::kGemm;
+  if (variant == Variant::kAuto) variant = blas::kernels::active_variant();
+  while (variant != Variant::kGeneric &&
+         !has_column(columns, kernel_column(variant))) {
+    variant = static_cast<Variant>(static_cast<int>(variant) - 1);
+  }
+  return make_op_aware_features(m, k, n, t, op, variant);
+}
 
 std::vector<double> make_query_features(double m, double k, double n,
                                         double t, blas::OpKind op,
                                         blas::kernels::Variant variant,
-                                        std::size_t pipeline_width) {
-  std::array<double, kNumOpAwareFeatures> row{};
-  const std::size_t width =
-      fill_query_features(m, k, n, t, op, variant, pipeline_width, row);
+                                        std::size_t width) {
+  if (width != kNumFeatures && width != kNumOpAwareFeatures) {
+    throw std::invalid_argument("make_query_features: width " +
+                                std::to_string(width) +
+                                " is neither the numeric nor the full schema");
+  }
+  if (variant == blas::kernels::Variant::kAuto) {
+    variant = blas::kernels::active_variant();
+  }
+  const auto row = make_op_aware_features(m, k, n, t, op, variant);
   return {row.begin(), row.begin() + static_cast<std::ptrdiff_t>(width)};
-}
-
-std::size_t fill_query_features(double m, double k, double n, double t,
-                                blas::OpKind op,
-                                blas::kernels::Variant variant,
-                                std::size_t pipeline_width,
-                                std::span<double, kNumOpAwareFeatures> out) {
-  const auto base = make_features(m, k, n, t);
-  std::copy(base.begin(), base.end(), out.begin());
-  if (pipeline_width < kNumLegacyOpAwareFeatures) return kNumFeatures;
-  // Every op-aware tier is 17 numeric + op one-hots + the kernel block (2
-  // wide on legacy artefacts, 3 since the AVX-512 tier). Operations the
-  // artefact's schema never saw are proxied as GEMM rows (their stored
-  // shape already carries the equivalent-GEMM dimensions); a kernel variant
-  // it never saw is proxied as the nearest tier it knows.
-  const std::size_t n_kernel_cols = kernel_cols_for_width(pipeline_width);
-  const std::size_t n_op_cols = std::min<std::size_t>(
-      pipeline_width - kNumFeatures - n_kernel_cols, blas::kNumOps);
-  const auto code = static_cast<std::size_t>(
-      op_served_first_class(op, pipeline_width) ? blas::op_code(op)
-                                                : blas::op_code(
-                                                      blas::OpKind::kGemm));
-  for (std::size_t j = 0; j < n_op_cols; ++j) {
-    out[kNumFeatures + j] = j == code ? 1.0 : 0.0;
-  }
-  set_kernel_onehots(variant, out.data() + kNumFeatures + n_op_cols,
-                     n_kernel_cols);
-  return kNumFeatures + n_op_cols + n_kernel_cols;
-}
-
-bool op_served_first_class(blas::OpKind op, std::size_t pipeline_width) {
-  if (pipeline_width < kNumLegacyOpAwareFeatures) {
-    return op == blas::OpKind::kGemm;
-  }
-  const std::size_t n_op_cols = std::min<std::size_t>(
-      pipeline_width - kNumFeatures - kernel_cols_for_width(pipeline_width),
-      blas::kNumOps);
-  return static_cast<std::size_t>(blas::op_code(op)) < n_op_cols;
 }
 
 }  // namespace adsala::preprocess

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "preprocess/correlation_filter.h"
+#include "preprocess/features.h"
 #include "preprocess/lof.h"
 #include "preprocess/scaler.h"
 #include "preprocess/yeo_johnson.h"
@@ -17,6 +18,7 @@ ml::Dataset Pipeline::fit_transform(const ml::Dataset& raw) {
   const std::size_t n = raw.size();
   const std::size_t d = raw.n_features();
   names_ = raw.feature_names();
+  columns_ = resolve_columns(names_);
 
   // Stage 2+3 state, fitted column-wise. Categorical columns keep the
   // identity parameters (lambda 1, mean 0, std 1), so transform_row treats
@@ -165,6 +167,7 @@ void Pipeline::load(const Json& blob) {
   for (const auto& s : blob.at("feature_names").as_array()) {
     names_.push_back(s.as_string());
   }
+  columns_ = resolve_columns(names_);
   lambdas_ = blob.at("lambdas").to_doubles();
   means_ = blob.at("means").to_doubles();
   stds_ = blob.at("stds").to_doubles();

@@ -63,14 +63,16 @@ class Pipeline {
   double inverse_label(double y) const;
 
   const PipelineConfig& config() const { return cfg_; }
-  /// Width of the raw rows this pipeline was fitted on (17 for PR-1-era
-  /// artefacts, 21 for PR-2-era op-aware ones, 23 for the current four-op
-  /// schema); transform_row expects this many values. Zero before fit/load.
+  /// Width of the raw rows this pipeline was fitted on; transform_row
+  /// expects this many values. Zero before fit/load.
   std::size_t n_input_features() const { return names_.size(); }
-  /// Names of the raw input columns at fit time (canonical schema order).
+  /// Names of the raw input columns at fit time.
   const std::vector<std::string>& input_feature_names() const {
     return names_;
   }
+  /// Each input column's index in preprocess::op_aware_feature_names(), or
+  /// kNoSchemaColumn, resolved by name at fit/load (see features.h).
+  const std::vector<std::size_t>& schema_columns() const { return columns_; }
   const std::vector<std::size_t>& kept_features() const { return keep_; }
   const std::vector<double>& lambdas() const { return lambdas_; }
   std::size_t rows_removed() const { return rows_removed_; }
@@ -81,6 +83,7 @@ class Pipeline {
  private:
   PipelineConfig cfg_;
   std::vector<std::string> names_;     // original feature names
+  std::vector<std::size_t> columns_;   // resolve_columns(names_)
   std::vector<double> lambdas_;        // per original feature (1.0 = identity)
   std::vector<double> means_, stds_;   // per original feature
   std::vector<std::size_t> keep_;      // surviving feature indices

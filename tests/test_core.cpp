@@ -517,9 +517,8 @@ TEST(AdsalaGemm, Pr2EraArtefactsProxyTrsmAndSymmAsGemm) {
 
   AdsalaGemm runtime(model_path, config_path);
   EXPECT_TRUE(runtime.op_aware()) << "gemm/syrk one-hots are informative";
-  ASSERT_EQ(runtime.pipeline().n_input_features(),
-            preprocess::kNumLegacyOpAwareFeatures);
-  // TRSM and SYMM queries build op_gemm = 1 rows for this schema tier, so
+  ASSERT_EQ(runtime.pipeline().n_input_features(), 21u);
+  // TRSM and SYMM queries build op_gemm = 1 rows for this artefact, so
   // they must agree with the explicit GEMM query of the equivalent shape.
   for (long n : {64L, 256L, 700L}) {
     const int p_gemm = runtime.select_threads(n, n, 3 * n);
@@ -612,8 +611,9 @@ TEST(AdsalaGemm, MemoInvalidatesAcrossOpsAndElemSizes) {
 }
 
 /// The decision the runtime must reproduce, computed the plain way: one
-/// query row per grid point (make_query_features + transform_row), a
-/// recursive walk over the model's saved JSON trees, first minimum wins.
+/// query row per grid point (make_query_row read in the artefact's column
+/// order + transform_row), a recursive walk over the model's saved JSON
+/// trees, first minimum wins.
 /// Serves the two models the runtime ships with: a decision tree and
 /// xgboost.
 class DecisionOracle {
@@ -635,19 +635,18 @@ class DecisionOracle {
   int select(blas::OpKind op, long x, long y, long z, int elem) const {
     const simarch::GemmShape shape = op_traits(op).to_shape(x, y, z, elem);
     const preprocess::Pipeline& pipeline = runtime_.pipeline();
-    const std::size_t width = pipeline.n_input_features();
-    const auto variant = width > preprocess::kNumFeatures
-                             ? blas::kernels::active_variant()
-                             : blas::kernels::Variant::kAuto;
+    const std::vector<std::size_t>& columns = pipeline.schema_columns();
     const std::vector<int>& grid = runtime_.thread_grid();
     std::size_t best = 0;
     double best_pred = 0.0;
     for (std::size_t t = 0; t < grid.size(); ++t) {
-      const std::vector<double> row =
-          pipeline.transform_row(preprocess::make_query_features(
-              static_cast<double>(shape.m), static_cast<double>(shape.k),
-              static_cast<double>(shape.n), static_cast<double>(grid[t]), op,
-              variant, width));
+      const auto canonical = preprocess::make_query_row(
+          columns, static_cast<double>(shape.m), static_cast<double>(shape.k),
+          static_cast<double>(shape.n), static_cast<double>(grid[t]), op,
+          blas::kernels::Variant::kAuto);
+      std::vector<double> raw;
+      for (const std::size_t col : columns) raw.push_back(canonical[col]);
+      const std::vector<double> row = pipeline.transform_row(raw);
       double pred = base_;
       for (const Tree& tree : trees_) pred += walk(tree, row, 0);
       if (t == 0 || pred < best_pred) {

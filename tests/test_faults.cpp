@@ -280,7 +280,7 @@ TEST_F(ArtefactCorpus, NullModelWeightRejected) {
 TEST_F(ArtefactCorpus, UnknownSchemaWidthRejected) {
   auto [model, config] = scratch_copy("bad_width");
   rewrite_json(config, [](Json& doc) {
-    // One extra input column pushes the fitted width past every known tier.
+    // One extra input column whose name is no query feature.
     Json& pipe = doc["pipeline"];
     pipe["feature_names"].as_array().emplace_back("op_bogus");
     pipe["lambdas"].as_array().emplace_back(1.0);
@@ -290,7 +290,23 @@ TEST_F(ArtefactCorpus, UnknownSchemaWidthRejected) {
   const auto result = AdsalaGemm::try_load(model, config);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kValidationError);
-  EXPECT_NE(result.error().message.find("schema width"), std::string::npos)
+  EXPECT_NE(result.error().message.find("'op_bogus'"), std::string::npos)
+      << result.error().message;
+}
+
+TEST_F(ArtefactCorpus, RepeatedFeatureNameRejected) {
+  auto [model, config] = scratch_copy("repeated_name");
+  rewrite_json(config, [](Json& doc) {
+    // kernel_avx2 twice, in place of kernel_avx512: one query feature would
+    // feed two model columns.
+    JsonArray& names = doc["pipeline"]["feature_names"].as_array();
+    ASSERT_EQ(names.back().as_string(), "kernel_avx512");
+    names.back() = Json("kernel_avx2");
+  });
+  const auto result = AdsalaGemm::try_load(model, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kValidationError);
+  EXPECT_NE(result.error().message.find("'kernel_avx2'"), std::string::npos)
       << result.error().message;
 }
 

@@ -3,7 +3,7 @@
 // sampler, analytic cost, native closure) agree with the conventions of
 // docs/OPERATIONS.md, and a newly registered op (TRMM) must be served by the
 // whole pipeline — including graceful GEMM-proxy fallback on artefacts that
-// predate it (23/21/17-column schemas).
+// predate it (the 23-, 21- and 17-column eras).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -239,8 +239,7 @@ TEST(OpRegistry, TrmmDegradesToGemmProxyOnPreTrmmArtefacts) {
 
   // A PR-2-era 21-column artefact proxies every triangular family.
   AdsalaGemm pr2 = era_artefact(data, {"gemm", "syrk"});
-  ASSERT_EQ(pr2.pipeline().n_input_features(),
-            preprocess::kNumLegacyOpAwareFeatures);
+  ASSERT_EQ(pr2.pipeline().n_input_features(), 21u);
   for (long n : {64L, 256L, 700L}) {
     const int p_gemm = pr2.select_threads(n, n, 3 * n);
     EXPECT_EQ(pr2.select_threads(blas::OpKind::kTrmm, n, 3 * n), p_gemm);

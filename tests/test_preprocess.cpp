@@ -324,11 +324,39 @@ TEST(Features, OpAwareValuesEncodeOpAndVariant) {
   }
 }
 
+/// Input column names of every artefact era: numeric only, then the op
+/// one-hots as they were registered, with the 2-wide kernel block until the
+/// AVX-512 tier, then the current schema.
+std::vector<std::string> era_names(std::initializer_list<const char*> ops,
+                                   bool kernels) {
+  std::vector<std::string> names = feature_names();
+  for (const char* op : ops) names.push_back(std::string("op_") + op);
+  if (kernels) names.insert(names.end(), {"kernel_generic", "kernel_avx2"});
+  return names;
+}
+const std::vector<std::string> kEra17 = era_names({}, false);
+const std::vector<std::string> kEra21 = era_names({"gemm", "syrk"}, true);
+const std::vector<std::string> kEra23 =
+    era_names({"gemm", "syrk", "trsm", "symm"}, true);
+const std::vector<std::string> kEra24 =
+    era_names({"gemm", "syrk", "trsm", "symm", "trmm"}, true);
+
+/// The raw row an artefact with these input columns is queried with, in
+/// its own column order.
+std::vector<double> era_row(const std::vector<std::string>& names,
+                            blas::OpKind op, blas::kernels::Variant variant) {
+  const auto columns = resolve_columns(names);
+  const auto canonical = make_query_row(columns, 2, 3, 4, 8, op, variant);
+  std::vector<double> row;
+  for (const std::size_t col : columns) row.push_back(canonical[col]);
+  return row;
+}
+
 TEST(Features, QueryRowsMatchEverySchemaTier) {
   using blas::kernels::Variant;
-  // Current 25-column tier reproduces make_op_aware_features.
-  const auto full = make_query_features(2, 3, 4, 8, blas::OpKind::kTrsm,
-                                        Variant::kAvx2, kNumOpAwareFeatures);
+  // The current 25 columns reproduce make_op_aware_features.
+  const auto full = era_row(op_aware_feature_names(), blas::OpKind::kTrsm,
+                            Variant::kAvx2);
   const auto expect = make_op_aware_features(2, 3, 4, 8, blas::OpKind::kTrsm,
                                              Variant::kAvx2);
   ASSERT_EQ(full.size(), kNumOpAwareFeatures);
@@ -336,53 +364,49 @@ TEST(Features, QueryRowsMatchEverySchemaTier) {
     EXPECT_DOUBLE_EQ(full[j], expect[j]);
   }
 
-  // PR-4 24-column tier: all five op one-hots but the 2-wide kernel pair;
+  // PR-4 24-column era: all five op one-hots but the 2-wide kernel pair;
   // an avx512 query is proxied as the nearest tier the artefact knows
   // (avx2), and every op stays first-class.
-  const auto pr4 = make_query_features(2, 3, 4, 8, blas::OpKind::kTrmm,
-                                       Variant::kAvx512, 24);
+  const auto pr4 = era_row(kEra24, blas::OpKind::kTrmm, Variant::kAvx512);
   ASSERT_EQ(pr4.size(), 24u);
   EXPECT_DOUBLE_EQ(pr4[21], 1.0) << "op_trmm stays first-class";
   EXPECT_DOUBLE_EQ(pr4[22], 0.0) << "kernel_generic";
   EXPECT_DOUBLE_EQ(pr4[23], 1.0) << "kernel_avx2 (avx512 proxy)";
 
-  // PR-3 23-column tier: four op one-hots; TRSM stays first-class but TRMM
+  // PR-3 23-column era: four op one-hots; TRSM stays first-class but TRMM
   // (registered later) is proxied as a GEMM row.
-  const auto pr3_trsm = make_query_features(2, 3, 4, 8, blas::OpKind::kTrsm,
-                                            Variant::kGeneric, 23);
+  const auto pr3_trsm = era_row(kEra23, blas::OpKind::kTrsm,
+                                Variant::kGeneric);
   ASSERT_EQ(pr3_trsm.size(), 23u);
   EXPECT_DOUBLE_EQ(pr3_trsm[17], 0.0) << "op_gemm";
   EXPECT_DOUBLE_EQ(pr3_trsm[19], 1.0) << "op_trsm";
   EXPECT_DOUBLE_EQ(pr3_trsm[21], 1.0) << "kernel_generic";
-  const auto pr3_trmm = make_query_features(2, 3, 4, 8, blas::OpKind::kTrmm,
-                                            Variant::kGeneric, 23);
+  const auto pr3_trmm = era_row(kEra23, blas::OpKind::kTrmm,
+                                Variant::kGeneric);
   ASSERT_EQ(pr3_trmm.size(), 23u);
   EXPECT_DOUBLE_EQ(pr3_trmm[17], 1.0) << "op_gemm (trmm proxy)";
   EXPECT_DOUBLE_EQ(pr3_trmm[19], 0.0) << "op_trsm";
   EXPECT_DOUBLE_EQ(pr3_trmm[20], 0.0) << "op_symm";
 
-  // PR-2 21-column tier: gemm/syrk one-hots only; the triangular families
+  // PR-2 21-column era: gemm/syrk one-hots only; the triangular families
   // are proxied as GEMM rows.
   for (const blas::OpKind op :
        {blas::OpKind::kGemm, blas::OpKind::kTrsm, blas::OpKind::kSymm,
         blas::OpKind::kTrmm}) {
-    const auto legacy = make_query_features(2, 3, 4, 8, op, Variant::kGeneric,
-                                            kNumLegacyOpAwareFeatures);
-    ASSERT_EQ(legacy.size(), kNumLegacyOpAwareFeatures);
+    const auto legacy = era_row(kEra21, op, Variant::kGeneric);
+    ASSERT_EQ(legacy.size(), 21u);
     EXPECT_DOUBLE_EQ(legacy[17], 1.0) << "op_gemm (proxy)";
     EXPECT_DOUBLE_EQ(legacy[18], 0.0) << "op_syrk";
     EXPECT_DOUBLE_EQ(legacy[19], 1.0) << "kernel_generic";
     EXPECT_DOUBLE_EQ(legacy[20], 0.0) << "kernel_avx2";
   }
-  const auto legacy_syrk = make_query_features(
-      2, 3, 4, 8, blas::OpKind::kSyrk, Variant::kGeneric,
-      kNumLegacyOpAwareFeatures);
+  const auto legacy_syrk = era_row(kEra21, blas::OpKind::kSyrk,
+                                   Variant::kGeneric);
   EXPECT_DOUBLE_EQ(legacy_syrk[17], 0.0);
   EXPECT_DOUBLE_EQ(legacy_syrk[18], 1.0);
 
-  // PR-1 17-column tier: numeric features only.
-  const auto base17 = make_query_features(2, 3, 4, 8, blas::OpKind::kSymm,
-                                          Variant::kGeneric, kNumFeatures);
+  // PR-1 17-column era: numeric features only.
+  const auto base17 = era_row(kEra17, blas::OpKind::kSymm, Variant::kGeneric);
   const auto base = make_features(2, 3, 4, 8);
   ASSERT_EQ(base17.size(), kNumFeatures);
   for (std::size_t j = 0; j < kNumFeatures; ++j) {
@@ -390,27 +414,57 @@ TEST(Features, QueryRowsMatchEverySchemaTier) {
   }
 }
 
-TEST(Features, OpServedFirstClassFollowsTheFittedWidth) {
+TEST(Features, WidthShimReturnsTheServedRow) {
+  using blas::kernels::Variant;
+  // make_query_features(..., width) serves callers that know an artefact
+  // only by its width: the full schema and its numeric prefix.
+  const auto full = make_query_features(2, 3, 4, 8, blas::OpKind::kSyrk,
+                                        Variant::kAuto, kNumOpAwareFeatures);
+  const auto served = make_query_row(resolve_columns(op_aware_feature_names()),
+                                     2, 3, 4, 8, blas::OpKind::kSyrk,
+                                     Variant::kAuto);
+  EXPECT_EQ(full, std::vector<double>(served.begin(), served.end()));
+  const auto base17 = make_query_features(2, 3, 4, 8, blas::OpKind::kSyrk,
+                                          Variant::kAvx2, kNumFeatures);
+  const auto base = make_features(2, 3, 4, 8);
+  EXPECT_EQ(base17, std::vector<double>(base.begin(), base.end()));
+  for (const std::size_t width : {0u, 21u, 24u, 26u}) {
+    EXPECT_THROW(make_query_features(2, 3, 4, 8, blas::OpKind::kGemm,
+                                     Variant::kGeneric, width),
+                 std::invalid_argument)
+        << width;
+  }
+}
+
+TEST(Features, ColumnsResolveByName) {
+  const auto columns =
+      resolve_columns(std::vector<std::string>{"kernel_avx2", "m", "f0"});
+  EXPECT_EQ(columns, (std::vector<std::size_t>{23, 0, kNoSchemaColumn}));
+}
+
+TEST(Features, OpServedFirstClassFollowsTheFittedColumns) {
   using blas::OpKind;
-  // Current full width: every registered op first-class.
+  const auto served = [](OpKind op, const std::vector<std::string>& names) {
+    return op_served_first_class(op, resolve_columns(names));
+  };
+  // Current schema: every registered op first-class.
   for (const OpKind op : blas::all_ops()) {
-    EXPECT_TRUE(op_served_first_class(op, kNumOpAwareFeatures))
-        << blas::op_name(op);
+    EXPECT_TRUE(served(op, op_aware_feature_names())) << blas::op_name(op);
   }
   // PR-4 24-column artefact (2-wide kernel block): all five ops first-class.
   for (const OpKind op : blas::all_ops()) {
-    EXPECT_TRUE(op_served_first_class(op, 24)) << blas::op_name(op);
+    EXPECT_TRUE(served(op, kEra24)) << blas::op_name(op);
   }
   // PR-3 23-column artefact: trmm postdates it.
-  EXPECT_TRUE(op_served_first_class(OpKind::kTrsm, 23));
-  EXPECT_TRUE(op_served_first_class(OpKind::kSymm, 23));
-  EXPECT_FALSE(op_served_first_class(OpKind::kTrmm, 23));
+  EXPECT_TRUE(served(OpKind::kTrsm, kEra23));
+  EXPECT_TRUE(served(OpKind::kSymm, kEra23));
+  EXPECT_FALSE(served(OpKind::kTrmm, kEra23));
   // PR-2 21-column artefact: gemm/syrk only.
-  EXPECT_TRUE(op_served_first_class(OpKind::kSyrk, 21));
-  EXPECT_FALSE(op_served_first_class(OpKind::kTrsm, 21));
+  EXPECT_TRUE(served(OpKind::kSyrk, kEra21));
+  EXPECT_FALSE(served(OpKind::kTrsm, kEra21));
   // PR-1 17-column artefact: gemm proxy for everything.
-  EXPECT_TRUE(op_served_first_class(OpKind::kGemm, kNumFeatures));
-  EXPECT_FALSE(op_served_first_class(OpKind::kSyrk, kNumFeatures));
+  EXPECT_TRUE(served(OpKind::kGemm, kEra17));
+  EXPECT_FALSE(served(OpKind::kSyrk, kEra17));
 }
 
 // ---------------------------------------------------------------- Pipeline

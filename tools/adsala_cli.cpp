@@ -87,6 +87,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <memory>
 #include <new>
@@ -158,6 +159,18 @@ std::string op_name_list() {
   std::string out;
   for (const auto op : blas::all_ops()) {
     if (!out.empty()) out += ',';
+    out += blas::op_name(op);
+  }
+  return out;
+}
+
+/// Space list of the ops an artefact with these resolved input columns
+/// serves from their own one-hot column (preprocess::op_served_first_class).
+std::string first_class_ops(std::span<const std::size_t> columns) {
+  std::string out;
+  for (const auto op : blas::all_ops()) {
+    if (!preprocess::op_served_first_class(op, columns)) continue;
+    if (!out.empty()) out += ' ';
     out += blas::op_name(op);
   }
   return out;
@@ -420,6 +433,10 @@ int cmd_predict(const Args& args) {
   std::printf("platform %s, model %s, max threads %d, op-aware %s\n",
               runtime->platform().c_str(), runtime->model_name().c_str(),
               runtime->max_threads(), runtime->op_aware() ? "yes" : "no");
+  if (runtime->serving_mode() != core::ServingMode::kHeuristicFallback) {
+    std::printf("first-class ops: %s\n",
+                first_class_ops(runtime->pipeline().schema_columns()).c_str());
+  }
   for (const auto& [op, shape] : args.queries) {
     const auto& traits = core::op_traits(op);
     long coords[3] = {0, 0, 0};
@@ -474,14 +491,14 @@ int cmd_inspect(const Args& args) {
               pipe.at("lof").as_bool() ? "on" : "off",
               pipe.at("corr_filter").as_bool() ? "on" : "off",
               pipe.at("log_label").as_bool() ? "on" : "off");
-  bool op_aware = false;
+  std::vector<std::string> names;
   for (const auto& name : pipe.at("feature_names").as_array()) {
-    if (name.as_string() == "op_syrk") op_aware = true;
+    names.push_back(name.as_string());
   }
-  std::printf("features    : %zu kept of %zu (%s schema)\n",
-              pipe.at("keep").as_array().size(),
-              pipe.at("feature_names").as_array().size(),
-              op_aware ? "op-aware" : "PR-1 base");
+  std::printf("features    : %zu kept of %zu\n",
+              pipe.at("keep").as_array().size(), names.size());
+  std::printf("first-class : %s\n",
+              first_class_ops(preprocess::resolve_columns(names)).c_str());
   return 0;
 }
 
