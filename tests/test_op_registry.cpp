@@ -113,6 +113,92 @@ TEST(OpRegistry, CostModelsMatchTheMachineModelConvenienceMethods) {
       model.measure_gemm(tri, policy));
 }
 
+// ---------------------------------------------------------- golden values --
+// Bit-identity guard over every registry row: the noise-free total and the
+// noisy 10-iteration mean of two shapes at two thread counts on Gadi, and the
+// first eight shapes the row's sampler draws. The timings are hexfloats, so a
+// change to any cost model, noise salt, rotation salt or footprint shows up
+// here — refactors of the simulated path must leave this table alone.
+
+struct GoldenRow {
+  blas::OpKind op;
+  /// {time_op total, measure_op} per (shape, threads), shapes outer, threads
+  /// inner.
+  double timings[8];
+  long shapes[8][3];  ///< first 8 sampler draws as stored (m, k, n)
+};
+
+constexpr GoldenRow kGolden[] = {
+    {blas::OpKind::kGemm,
+     {0x1.de2378797e64p-11, 0x1.09560edc6f032p-10, 0x1.6f8aca6c5ab62p-10,
+      0x1.77606554338bdp-10, 0x1.27e1dab436b4ep-12, 0x1.547ace8ab631ep-12,
+      0x1.7601a988ad42ap-4, 0x1.868f59f39e621p-4},
+     {{53, 5, 868}, {1, 542, 18}, {109, 64, 1177}, {70, 191, 889},
+      {2, 3753, 13}, {79, 99, 1056}, {67, 1, 946}, {2, 2462, 20}}},
+    {blas::OpKind::kSyrk,
+     {0x1.5df75146e91b4p-11, 0x1.8aef622e3a45dp-11, 0x1.6a1943e3a2254p-10,
+      0x1.5d3344949d6a1p-10, 0x1.18f6e7e1af3bp-12, 0x1.1386d444da735p-12,
+      0x1.75fd30644bceap-4, 0x1.7c7452e19a79ap-4},
+     {{4, 467, 4}, {108, 227, 108}, {253, 27, 253}, {24, 1527, 24},
+      {12, 9, 12}, {39, 920, 39}, {69, 566, 69}, {8, 3197, 8}}},
+    {blas::OpKind::kTrsm,
+     {0x1.6d96392fab978p-10, 0x1.6da4ef4b58a3ap-10, 0x1.3ab76a694d39ap-9,
+      0x1.2a8d0f76f29c9p-9, 0x1.d5868bc2533d4p-12, 0x1.12d3583ff7868p-11,
+      0x1.102d5eedb700bp-6, 0x1.0c7a6192632efp-6},
+     {{135, 135, 882}, {37, 37, 4763}, {293, 293, 12}, {11, 11, 1832},
+      {78, 78, 276}, {4, 4, 3633}, {56, 56, 1161}, {22, 22, 62}}},
+    {blas::OpKind::kSymm,
+     {0x1.42c514509d7bep-10, 0x1.6d068fcba50d5p-10, 0x1.e09e33f40efcep-10,
+      0x1.e1603b3122e33p-10, 0x1.716484592e82p-12, 0x1.a044d63a7b2a2p-12,
+      0x1.5b01cf5ead817p-6, 0x1.d15d76e758c2p-6},
+     {{6, 6, 106}, {114, 114, 548}, {26, 26, 3933}, {14, 14, 6430},
+      {220, 220, 215}, {1, 1, 2914}, {145, 145, 23}, {43, 43, 363}}},
+    {blas::OpKind::kTrmm,
+     {0x1.7ac78cafd840ep-11, 0x1.b550d6328a9d6p-11, 0x1.b451f1a169f1p-10,
+      0x1.9592033bd4901p-10, 0x1.0c0c521025d14p-12, 0x1.31381b54f57c9p-12,
+      0x1.4036468ce5c55p-6, 0x1.44ee336a530c5p-6},
+     {{40, 40, 2462}, {141, 141, 185}, {13, 13, 130}, {60, 60, 965},
+      {176, 176, 24}, {5, 5, 2250}, {25, 25, 7}, {2, 2, 834}}},
+};
+
+TEST(OpRegistry, GoldenTimingsAndSamplerDrawsAreBitIdentical) {
+  ASSERT_EQ(std::size(kGolden), op_registry().size());
+  simarch::MachineModel model(simarch::gadi_topology(), 42);
+  // A 1 MB cap rejects enough of the domain that every row's footprint
+  // decides some of its first eight draws.
+  sampling::DomainConfig domain;
+  domain.memory_cap_bytes = 1024 * 1024;
+  domain.dim_max = 8000;
+  domain.seed = 7;
+  for (const GoldenRow& golden : kGolden) {
+    const OpTraits& traits = op_traits(golden.op);
+    const char* name = blas::op_name(golden.op);
+    const simarch::GemmShape shapes[2] = {traits.to_shape(800, 400, 600, 4),
+                                          traits.to_shape(96, 2048, 64, 8)};
+    int i = 0;
+    for (const simarch::GemmShape& s : shapes) {
+      for (const int p : {4, 48}) {
+        const simarch::ExecPolicy policy{.nthreads = p};
+        EXPECT_EQ(model.time_op(s, policy, traits.cost).total(),
+                  golden.timings[i])
+            << name << " time_op, threads " << p;
+        EXPECT_EQ(model.measure_op(s, policy, traits.cost),
+                  golden.timings[i + 1])
+            << name << " measure_op, threads " << p;
+        i += 2;
+      }
+    }
+    const auto drawn = traits.make_sampler(domain)->sample(8);
+    ASSERT_EQ(drawn.size(), 8u) << name;
+    for (std::size_t d = 0; d < 8; ++d) {
+      EXPECT_EQ(drawn[d].m, golden.shapes[d][0]) << name << " draw " << d;
+      EXPECT_EQ(drawn[d].k, golden.shapes[d][1]) << name << " draw " << d;
+      EXPECT_EQ(drawn[d].n, golden.shapes[d][2]) << name << " draw " << d;
+      EXPECT_EQ(drawn[d].elem_bytes, 4) << name << " draw " << d;
+    }
+  }
+}
+
 TEST(OpRegistry, TrmmCostSitsBetweenTriangleAndGemm) {
   // TRMM does triangle-fraction kernel work with a packing surcharge: its
   // noise-free time must be below the equivalent GEMM's and its copy above.
