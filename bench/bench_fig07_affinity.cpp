@@ -28,8 +28,8 @@ void run_platform(const std::string& platform) {
                              .affinity = simarch::Affinity::kCores};
       simarch::ExecPolicy pt{.nthreads = p,
                              .affinity = simarch::Affinity::kThreads};
-      sum_core += model.measure_gemm(s, pc);
-      sum_thread += model.measure_gemm(s, pt);
+      sum_core += model.measure_op(s, pc);
+      sum_thread += model.measure_op(s, pt);
     }
     std::printf("%8d %16.1f %16.1f %8.2f\n", p,
                 1e6 * sum_core / static_cast<double>(shapes.size()),

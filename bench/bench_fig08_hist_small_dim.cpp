@@ -29,7 +29,7 @@ int main() {
       double best_t = 0.0;
       int best_p = 1;
       for (int p : grid) {
-        const double t = executor.measure(shape, p);
+        const double t = executor.measure_op(blas::OpKind::kGemm, shape, p);
         if (best_t == 0.0 || t < best_t) {
           best_t = t;
           best_p = p;

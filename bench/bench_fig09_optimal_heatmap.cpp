@@ -38,7 +38,7 @@ void run_platform(const std::string& platform) {
   for (std::size_t i = 0; i < shapes.size(); ++i) {
     double best_t = 0.0;
     for (int p : grid) {
-      const double t = executor.measure(shapes[i], p);
+      const double t = executor.measure_op(blas::OpKind::kGemm, shapes[i], p);
       if (best_t == 0.0 || t < best_t) {
         best_t = t;
         optima[i] = p;

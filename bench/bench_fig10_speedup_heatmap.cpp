@@ -30,8 +30,9 @@ void run_platform(const std::string& platform) {
   for (std::size_t i = 0; i < shapes.size(); ++i) {
     const int p = runtime.select_threads(shapes[i].m, shapes[i].k,
                                          shapes[i].n);
-    speedup[i] = executor.measure(shapes[i], reference_threads) /
-                 executor.measure(shapes[i], p);
+    const auto gemm = blas::OpKind::kGemm;
+    speedup[i] = executor.measure_op(gemm, shapes[i], reference_threads) /
+                 executor.measure_op(gemm, shapes[i], p);
   }
 
   const char* proj_names[3] = {"m x k", "m x n", "k x n"};

@@ -23,7 +23,7 @@ int main() {
   for (const auto& shape : cases) {
     const int p_ml = runtime.select_threads(shape.m, shape.k, shape.n);
     for (const int p : {96, p_ml}) {
-      const auto bd = model.time_gemm(shape, {.nthreads = p});
+      const auto bd = model.time_op(shape, {.nthreads = p});
       std::printf("%ld,%ld,%ld%s %8d %10.3f %10.3f %10.3f %10.3f\n", shape.m,
                   shape.k, shape.n, p == 96 ? " no ML " : " with ML",
                   p, kCalls * bd.total(), kCalls * bd.sync_s,

@@ -35,8 +35,9 @@ inline void run_gflops_figure(const std::string& platform,
         static_cast<std::size_t>(shape.bytes() / (kBucketMb * 1024.0 * 1024.0)),
         buckets.size() - 1);
     const int p = runtime.select_threads(shape.m, shape.k, shape.n);
-    const double t_ml = executor.measure(shape, p);
-    const double t_base = executor.measure(shape, reference_threads);
+    const double t_ml = executor.measure_op(blas::OpKind::kGemm, shape, p);
+    const double t_base =
+        executor.measure_op(blas::OpKind::kGemm, shape, reference_threads);
     buckets[b].flops_base += shape.flops();
     buckets[b].time_base += t_base;
     buckets[b].flops_ml += shape.flops();

@@ -57,8 +57,10 @@ inline void run_predesigned(const std::string& platform,
       for (long s : sweep) {
         const auto shape = fam.make(f, s);
         const int p = runtime.select_threads(shape.m, shape.k, shape.n);
-        const double t_ml = executor.measure(shape, p);
-        const double t_base = executor.measure(shape, reference_threads);
+        const double t_ml =
+            executor.measure_op(blas::OpKind::kGemm, shape, p);
+        const double t_base =
+            executor.measure_op(blas::OpKind::kGemm, shape, reference_threads);
         std::printf("%-22s %10ld %14.1f %14.1f %9.2f %7d\n", "", s,
                     shape.flops() / t_base / 1e9, shape.flops() / t_ml / 1e9,
                     t_base / t_ml, p);

@@ -32,8 +32,10 @@ inline SpeedupColumn measure_speedups(const std::string& platform, bool smt,
     WallTimer eval_timer;
     const int p = runtime.select_threads(shape.m, shape.k, shape.n);
     const double t_eval = eval_timer.seconds();
-    const double t_adsala = executor.measure(shape, p) + t_eval;
-    const double t_orig = executor.measure(shape, reference_threads);
+    const double t_adsala =
+        executor.measure_op(blas::OpKind::kGemm, shape, p) + t_eval;
+    const double t_orig =
+        executor.measure_op(blas::OpKind::kGemm, shape, reference_threads);
     col.speedups.push_back(t_orig / t_adsala);
   }
   return col;

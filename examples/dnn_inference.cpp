@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
   for (const auto& layer : kLayers) {
     const simarch::GemmShape shape{layer.m, layer.k, layer.n, 4};
     const int p = adsala.select_threads(layer.m, layer.k, layer.n);
-    const double t_default = executor.measure(shape, max_threads);
-    const double t_ml = executor.measure(shape, p);
+    const double t_default =
+        executor.measure_op(blas::OpKind::kGemm, shape, max_threads);
+    const double t_ml = executor.measure_op(blas::OpKind::kGemm, shape, p);
     total_default += t_default;
     total_ml += t_ml;
     std::printf("%-16s %5ld,%5ld,%5ld %12.1f %12.1f %8.2f %7d\n", layer.name,

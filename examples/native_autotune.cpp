@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
   std::vector<double> speedups;
   for (const auto& shape : sampler.sample(15)) {
     const int p = adsala.select_threads(shape.m, shape.k, shape.n);
-    const double t_ml = executor.measure(shape, p, 3);
-    const double t_max = executor.measure(shape, executor.max_threads(), 3);
+    const double t_ml = executor.measure_op(blas::OpKind::kGemm, shape, p, 3);
+    const double t_max = executor.measure_op(blas::OpKind::kGemm, shape,
+                                             executor.max_threads(), 3);
     speedups.push_back(t_max / t_ml);
   }
   std::printf("\nfresh-shape speedup vs always-max-threads: mean %.2fx, "

@@ -49,8 +49,10 @@ PlatformResult study(const simarch::CpuTopology& topo,
   sampling::GemmDomainSampler sampler(fresh);
   for (const auto& shape : sampler.sample(80)) {
     const int p = adsala.select_threads(shape.m, shape.k, shape.n);
-    result.speedups.push_back(executor.measure(shape, topo.max_threads()) /
-                              executor.measure(shape, p));
+    const auto gemm = blas::OpKind::kGemm;
+    result.speedups.push_back(
+        executor.measure_op(gemm, shape, topo.max_threads()) /
+        executor.measure_op(gemm, shape, p));
   }
   return result;
 }

@@ -20,11 +20,6 @@ NativeExecutor::NativeExecutor(int max_threads)
                        ? max_threads
                        : static_cast<int>(ThreadPool::global().max_threads())) {}
 
-double NativeExecutor::measure(const simarch::GemmShape& shape, int nthreads,
-                               int iterations) {
-  return measure_op(blas::OpKind::kGemm, shape, nthreads, iterations);
-}
-
 double NativeExecutor::measure_op(blas::OpKind op,
                                   const simarch::GemmShape& shape,
                                   int nthreads, int iterations) {

@@ -3,8 +3,8 @@
 // The whole ADSALA pipeline is written against this interface so the same
 // installation + runtime workflow runs on (a) the real host CPU with the
 // from-scratch BLAS substrate, or (b) the simulated Setonix/Gadi paper
-// platforms. measure() returns the mean wall time of `iterations` runs of
-// one GEMM at a fixed thread count — the paper's timing protocol (SS V-B.3).
+// platforms. measure_op() returns the mean wall time of `iterations` runs of
+// one call at a fixed thread count — the paper's timing protocol (SS V-B.3).
 #pragma once
 
 #include <memory>
@@ -23,21 +23,12 @@ class GemmExecutor {
   virtual std::string name() const = 0;
   virtual int max_threads() const = 0;
 
-  /// Mean seconds per GEMM call over `iterations` timed runs.
-  virtual double measure(const simarch::GemmShape& shape, int nthreads,
-                         int iterations = 10) = 0;
-
-  /// Operation-aware measurement for the op-aware gathering campaign.
-  /// Non-GEMM shapes use the equivalent-GEMM conventions of
-  /// docs/OPERATIONS.md (SYRK: m == n, A n x k; TRSM / SYMM: m == k ==
-  /// triangle/symmetric n, shape.n = right-hand-side columns). The default
-  /// falls back to the GEMM proxy — backends that can actually run or model
-  /// an operation override this.
+  /// Mean seconds per call of `op` over `iterations` timed runs. Non-GEMM
+  /// shapes use the equivalent-GEMM conventions of docs/OPERATIONS.md
+  /// (SYRK: m == n, A n x k; TRSM / SYMM / TRMM: m == k == triangle or
+  /// symmetric n, shape.n = right-hand-side columns).
   virtual double measure_op(blas::OpKind op, const simarch::GemmShape& shape,
-                            int nthreads, int iterations = 10) {
-    (void)op;
-    return measure(shape, nthreads, iterations);
-  }
+                            int nthreads, int iterations = 10) = 0;
 };
 
 /// Backend over the analytical machine model (paper-scale platforms).
@@ -53,12 +44,6 @@ class SimulatedExecutor : public GemmExecutor {
   int max_threads() const override {
     return model_.topology().max_threads(base_policy_.allow_smt);
   }
-  double measure(const simarch::GemmShape& shape, int nthreads,
-                 int iterations = 10) override {
-    simarch::ExecPolicy policy = base_policy_;
-    policy.nthreads = nthreads;
-    return model_.measure_gemm(shape, policy, iterations);
-  }
   /// Times the operation through its registry cost model
   /// (core/op_registry.cpp), so a newly registered op is simulated without
   /// touching this class.
@@ -73,7 +58,7 @@ class SimulatedExecutor : public GemmExecutor {
   simarch::ExecPolicy base_policy_;
 };
 
-/// Backend running the from-scratch blocked GEMM on the host CPU.
+/// Backend running the from-scratch BLAS substrate on the host CPU.
 /// Operands are 64-byte aligned and filled with pseudo-random values; one
 /// warm-up call precedes the timed iterations (paper SS V-B.3).
 class NativeExecutor : public GemmExecutor {
@@ -82,8 +67,6 @@ class NativeExecutor : public GemmExecutor {
 
   std::string name() const override { return "native"; }
   int max_threads() const override { return max_threads_; }
-  double measure(const simarch::GemmShape& shape, int nthreads,
-                 int iterations = 10) override;
   /// Runs the op's registry-provided native timing closure (the real
   /// substrate routine, lower triangle / no transpose for the triangular
   /// families); a newly registered op is timed without touching this class.

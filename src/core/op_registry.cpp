@@ -51,187 +51,161 @@ void tri_from_shape(const simarch::GemmShape& s, long* n, long* m, long*) {
 }
 
 // ---------------------------------------------------------------- domains --
-// The built-in families alias the named samplers (sampling/domain.h) so the
-// registry and direct construction share one rotation stream per op; TRMM,
-// landed after the samplers were generalised, carries its spec right here.
+// GEMM samples the full (m, k, n) cube; every other family is a
+// Family2DSpec: its stored-shape marker, its true operand footprint, and a
+// rotation salt of its own (a mixed campaign must never probe two ops on
+// identical diagonals). The `who` strings prefix the sampler's errors.
 
 std::unique_ptr<sampling::DomainSampler> make_gemm_sampler(
     const sampling::DomainConfig& config) {
   return std::make_unique<sampling::GemmDomainSampler>(config);
 }
-std::unique_ptr<sampling::DomainSampler> make_syrk_sampler(
+
+template <const sampling::Family2DSpec& Spec>
+std::unique_ptr<sampling::DomainSampler> make_family_sampler(
     const sampling::DomainConfig& config) {
-  return std::make_unique<sampling::SyrkDomainSampler>(config);
-}
-std::unique_ptr<sampling::DomainSampler> make_trsm_sampler(
-    const sampling::DomainConfig& config) {
-  return std::make_unique<sampling::TrsmDomainSampler>(config);
-}
-std::unique_ptr<sampling::DomainSampler> make_symm_sampler(
-    const sampling::DomainConfig& config) {
-  return std::make_unique<sampling::SymmDomainSampler>(config);
+  return std::make_unique<sampling::Family2DSampler>(Spec, config);
 }
 
-/// TRMM footprint: A triangle (n x n) + B (n x m) + the in-place product's
-/// dense B workspace (n x m).
-double trmm_footprint(const simarch::GemmShape& s) {
+/// Footprint in elements of n x n A plus `dense_nm` n x m operands, on the
+/// m == k stored shape (n = shape.m, m = shape.n).
+template <int dense_nm>
+double tri_footprint(const simarch::GemmShape& s) {
   return static_cast<double>(s.elem_bytes) *
          (static_cast<double>(s.m) * s.m +
-          2.0 * static_cast<double>(s.m) * s.n);
+          dense_nm * static_cast<double>(s.m) * s.n);
 }
 
-std::unique_ptr<sampling::DomainSampler> make_trmm_sampler(
-    const sampling::DomainConfig& config) {
-  return std::make_unique<sampling::Family2DSampler>(
-      sampling::Family2DSpec{"TrmmDomainSampler", 0x3e8d5b71ull,
-                             /*m_equals_n=*/false, &trmm_footprint},
-      config);
+/// SYRK: A n x k and C n x n, on the m == n stored shape.
+double syrk_footprint(const simarch::GemmShape& s) {
+  return static_cast<double>(s.elem_bytes) *
+         (static_cast<double>(s.n) * s.k + static_cast<double>(s.n) * s.n);
 }
+
+constexpr sampling::Family2DSpec kSyrkDomain{
+    "SyrkDomainSampler", 0x5a9c0d17ull, /*m_equals_n=*/true, &syrk_footprint};
+/// TRSM: A triangle + B right-hand sides.
+constexpr sampling::Family2DSpec kTrsmDomain{
+    "TrsmDomainSampler", 0x7c31e8a5ull, /*m_equals_n=*/false,
+    &tri_footprint<1>};
+/// SYMM: A symmetric + B and C.
+constexpr sampling::Family2DSpec kSymmDomain{
+    "SymmDomainSampler", 0x19f4b26dull, /*m_equals_n=*/false,
+    &tri_footprint<2>};
+/// TRMM: A triangle + B + the in-place product's dense B workspace.
+constexpr sampling::Family2DSpec kTrmmDomain{
+    "TrmmDomainSampler", 0x3e8d5b71ull, /*m_equals_n=*/false,
+    &tri_footprint<2>};
 
 // ---------------------------------------------------- native measurement --
-// Operands are 64-byte aligned and filled with pseudo-random values; one
-// warm-up call precedes the timed iterations (paper SS V-B.3).
+// Every native closure is one row function on a shared harness (paper
+// SS V-B.3): 64-byte aligned operands whose A and B are filled, in that
+// order, with uniform(-1, 1) draws from one Rng seeded by the row's family
+// coordinates and whose C starts at zero; one warm-up call, then the mean of
+// `iterations` timed calls. A row gives only its operand sizes, its
+// conditioning and its call.
 
 template <typename T>
-double measure_gemm_typed(const simarch::GemmShape& shape, int nthreads,
-                          int iterations) {
-  const auto m = static_cast<int>(shape.m);
-  const auto k = static_cast<int>(shape.k);
-  const auto n = static_cast<int>(shape.n);
-  AlignedBuffer<T> a(static_cast<std::size_t>(m) * k);
-  AlignedBuffer<T> b(static_cast<std::size_t>(k) * n);
-  AlignedBuffer<T> c(static_cast<std::size_t>(m) * n);
-  Rng rng(0x5eedu + static_cast<std::uint64_t>(m * 131 + k * 17 + n));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+struct Operands {
+  /// `a_spread` divides A's draws (1 keeps them in (-1, 1)); a size of 0
+  /// leaves that operand absent.
+  Operands(int x, int y, int z, std::size_t a_size, std::size_t b_size,
+           std::size_t c_size, double a_spread = 1.0)
+      : a(a_size), b(b_size), c(c_size) {
+    Rng rng(0x5eedu + static_cast<std::uint64_t>(x * 131 + y * 17 + z));
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = static_cast<T>(rng.uniform(-1.0, 1.0) / a_spread);
+    }
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+    }
+    for (std::size_t i = 0; i < c.size(); ++i) c[i] = T(0);
   }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+
+  /// Sets the diagonal of the n x n A.
+  void set_a_diagonal(int n, T value) {
+    for (int i = 0; i < n; ++i) a[static_cast<std::size_t>(i) * n + i] = value;
   }
-  for (std::size_t i = 0; i < c.size(); ++i) c[i] = T(0);
 
-  // Warm-up: pulls operands into cache state comparable across runs and
-  // wakes the pool threads.
-  blas::gemm<T>(blas::Trans::kNo, blas::Trans::kNo, m, n, k, T(1), a.data(),
-                k, b.data(), n, T(0), c.data(), n, nthreads);
+  AlignedBuffer<T> a, b, c;
+};
 
+std::size_t area(int rows, int cols) {
+  return static_cast<std::size_t>(rows) * cols;
+}
+
+/// One warm-up call (pulls operands into cache state comparable across runs
+/// and wakes the pool threads), then the mean of `iterations` timed calls.
+template <typename Call>
+double time_calls(int iterations, const Call& call) {
+  call();
   WallTimer timer;
-  for (int it = 0; it < iterations; ++it) {
-    blas::gemm<T>(blas::Trans::kNo, blas::Trans::kNo, m, n, k, T(1), a.data(),
-                  k, b.data(), n, T(0), c.data(), n, nthreads);
-  }
+  for (int it = 0; it < iterations; ++it) call();
   return timer.seconds() / std::max(iterations, 1);
 }
 
 template <typename T>
-double measure_syrk_typed(const simarch::GemmShape& shape, int nthreads,
-                          int iterations) {
-  const auto n = static_cast<int>(shape.n);
-  const auto k = static_cast<int>(shape.k);
-  AlignedBuffer<T> a(static_cast<std::size_t>(n) * k);
-  AlignedBuffer<T> c(static_cast<std::size_t>(n) * n);
-  Rng rng(0x5eedu + static_cast<std::uint64_t>(n * 131 + k * 17));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
-  for (std::size_t i = 0; i < c.size(); ++i) c[i] = T(0);
-
-  blas::syrk<T>(blas::Uplo::kLower, blas::Trans::kNo, n, k, T(1), a.data(), k,
-                T(0), c.data(), n, nthreads);
-
-  WallTimer timer;
-  for (int it = 0; it < iterations; ++it) {
-    blas::syrk<T>(blas::Uplo::kLower, blas::Trans::kNo, n, k, T(1), a.data(),
-                  k, T(0), c.data(), n, nthreads);
-  }
-  return timer.seconds() / std::max(iterations, 1);
+double gemm_native(const simarch::GemmShape& s, int nthreads, int iterations) {
+  const auto m = static_cast<int>(s.m);
+  const auto k = static_cast<int>(s.k);
+  const auto n = static_cast<int>(s.n);
+  Operands<T> o(m, k, n, area(m, k), area(k, n), area(m, n));
+  return time_calls(iterations, [&] {
+    blas::gemm<T>(blas::Trans::kNo, blas::Trans::kNo, m, n, k, T(1),
+                  o.a.data(), k, o.b.data(), n, T(0), o.c.data(), n, nthreads);
+  });
 }
 
 template <typename T>
-double measure_trsm_typed(const simarch::GemmShape& shape, int nthreads,
-                          int iterations) {
-  const auto n = static_cast<int>(shape.m);  // triangle dimension (m == k)
-  const auto r = static_cast<int>(shape.n);  // right-hand-side columns
-  AlignedBuffer<T> a(static_cast<std::size_t>(n) * n);
-  AlignedBuffer<T> b(static_cast<std::size_t>(n) * r);
-  Rng rng(0x5eedu + static_cast<std::uint64_t>(n * 131 + r * 17));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
+double syrk_native(const simarch::GemmShape& s, int nthreads, int iterations) {
+  const auto n = static_cast<int>(s.n);
+  const auto k = static_cast<int>(s.k);
+  Operands<T> o(n, k, 0, area(n, k), 0, area(n, n));
+  return time_calls(iterations, [&] {
+    blas::syrk<T>(blas::Uplo::kLower, blas::Trans::kNo, n, k, T(1),
+                  o.a.data(), k, T(0), o.c.data(), n, nthreads);
+  });
+}
+
+template <typename T>
+double trsm_native(const simarch::GemmShape& s, int nthreads, int iterations) {
+  const auto n = static_cast<int>(s.m);  // triangle dimension (m == k)
+  const auto r = static_cast<int>(s.n);  // right-hand-side columns
+  Operands<T> o(n, r, 0, area(n, n), area(n, r), 0);
   // Diagonally dominant triangle: repeated in-place solves stay bounded
   // (||inv(A)|| < 1), so the timed iterations never drift into inf/denormal
   // territory.
-  for (int i = 0; i < n; ++i) a[static_cast<std::size_t>(i) * n + i] = T(n + 1);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
-
-  blas::trsm<T>(blas::Uplo::kLower, blas::Trans::kNo, blas::Diag::kNonUnit, n,
-                r, T(1), a.data(), n, b.data(), r, nthreads);
-
-  WallTimer timer;
-  for (int it = 0; it < iterations; ++it) {
+  o.set_a_diagonal(n, T(n + 1));
+  return time_calls(iterations, [&] {
     blas::trsm<T>(blas::Uplo::kLower, blas::Trans::kNo, blas::Diag::kNonUnit,
-                  n, r, T(1), a.data(), n, b.data(), r, nthreads);
-  }
-  return timer.seconds() / std::max(iterations, 1);
+                  n, r, T(1), o.a.data(), n, o.b.data(), r, nthreads);
+  });
 }
 
 template <typename T>
-double measure_symm_typed(const simarch::GemmShape& shape, int nthreads,
-                          int iterations) {
-  const auto n = static_cast<int>(shape.m);  // symmetric dimension (m == k)
-  const auto r = static_cast<int>(shape.n);  // B/C columns
-  AlignedBuffer<T> a(static_cast<std::size_t>(n) * n);
-  AlignedBuffer<T> b(static_cast<std::size_t>(n) * r);
-  AlignedBuffer<T> c(static_cast<std::size_t>(n) * r);
-  Rng rng(0x5eedu + static_cast<std::uint64_t>(n * 131 + r * 17));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
-  for (std::size_t i = 0; i < c.size(); ++i) c[i] = T(0);
-
-  blas::symm<T>(blas::Uplo::kLower, n, r, T(1), a.data(), n, b.data(), r,
-                T(0), c.data(), r, nthreads);
-
-  WallTimer timer;
-  for (int it = 0; it < iterations; ++it) {
-    blas::symm<T>(blas::Uplo::kLower, n, r, T(1), a.data(), n, b.data(), r,
-                  T(0), c.data(), r, nthreads);
-  }
-  return timer.seconds() / std::max(iterations, 1);
+double symm_native(const simarch::GemmShape& s, int nthreads, int iterations) {
+  const auto n = static_cast<int>(s.m);  // symmetric dimension (m == k)
+  const auto r = static_cast<int>(s.n);  // B/C columns
+  Operands<T> o(n, r, 0, area(n, n), area(n, r), area(n, r));
+  return time_calls(iterations, [&] {
+    blas::symm<T>(blas::Uplo::kLower, n, r, T(1), o.a.data(), n, o.b.data(),
+                  r, T(0), o.c.data(), r, nthreads);
+  });
 }
 
 template <typename T>
-double measure_trmm_typed(const simarch::GemmShape& shape, int nthreads,
-                          int iterations) {
-  const auto n = static_cast<int>(shape.m);  // triangle dimension (m == k)
-  const auto r = static_cast<int>(shape.n);  // B columns
-  AlignedBuffer<T> a(static_cast<std::size_t>(n) * n);
-  AlignedBuffer<T> b(static_cast<std::size_t>(n) * r);
-  Rng rng(0x5eedu + static_cast<std::uint64_t>(n * 131 + r * 17));
-  // Contraction (||A|| < 1): repeated in-place products decay gently instead
-  // of overflowing, so the timed iterations stay in normal-number range.
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<T>(rng.uniform(-1.0, 1.0) * 0.5 / n);
-  }
-  for (int i = 0; i < n; ++i) a[static_cast<std::size_t>(i) * n + i] = T(0.9);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
-
-  blas::trmm<T>(blas::Uplo::kLower, blas::Trans::kNo, blas::Diag::kNonUnit, n,
-                r, T(1), a.data(), n, b.data(), r, nthreads);
-
-  WallTimer timer;
-  for (int it = 0; it < iterations; ++it) {
+double trmm_native(const simarch::GemmShape& s, int nthreads, int iterations) {
+  const auto n = static_cast<int>(s.m);  // triangle dimension (m == k)
+  const auto r = static_cast<int>(s.n);  // B columns
+  // Contraction (||A|| < 1): entries within 1/(2n), diagonal 0.9, so
+  // repeated in-place products decay gently instead of overflowing and the
+  // timed iterations stay in normal-number range.
+  Operands<T> o(n, r, 0, area(n, n), area(n, r), 0, 2.0 * n);
+  o.set_a_diagonal(n, T(0.9));
+  return time_calls(iterations, [&] {
     blas::trmm<T>(blas::Uplo::kLower, blas::Trans::kNo, blas::Diag::kNonUnit,
-                  n, r, T(1), a.data(), n, b.data(), r, nthreads);
-  }
-  return timer.seconds() / std::max(iterations, 1);
+                  n, r, T(1), o.a.data(), n, o.b.data(), r, nthreads);
+  });
 }
 
 /// fp32/fp64 split shared by every native closure.
@@ -243,8 +217,8 @@ double by_elem(const simarch::GemmShape& shape, int nthreads, int iterations) {
 }
 
 // ---------------------------------------------------------------- the table --
-
-constexpr std::uint64_t kTrmmNoiseSalt = 0x54524d4dull;  // "TRMM"
+// Each cost model says why the op's optimum differs from GEMM's; its noise
+// salt (an ASCII tag of the op's name) decorrelates its measurement noise.
 
 constexpr OpTraits kOpTraits[] = {
     {
@@ -254,58 +228,65 @@ constexpr OpTraits kOpTraits[] = {
         .to_shape = &gemm_to_shape,
         .from_shape = &gemm_from_shape,
         .make_sampler = &make_gemm_sampler,
-        .cost = simarch::kGemmCostModel,
-        .measure_native =
-            &by_elem<&measure_gemm_typed<float>, &measure_gemm_typed<double>>,
+        .cost = {},
+        .measure_native = &by_elem<&gemm_native<float>, &gemm_native<double>>,
     },
     {
+        // SYRK shares GEMM's packing, barrier and spawn structure (A is
+        // packed into both panel roles), but only the triangle's
+        // micro-tiles execute.
         .op = blas::OpKind::kSyrk,
         .family_dims = 2,
         .coord_names = {"n", "k", nullptr},
         .to_shape = &syrk_to_shape,
         .from_shape = &syrk_from_shape,
-        .make_sampler = &make_syrk_sampler,
-        .cost = simarch::kSyrkCostModel,
-        .measure_native =
-            &by_elem<&measure_syrk_typed<float>, &measure_syrk_typed<double>>,
+        .make_sampler = &make_family_sampler<kSyrkDomain>,
+        .cost = {.triangle_kernel = true, .noise_salt = 0x53595246ull},
+        .measure_native = &by_elem<&syrk_native<float>, &syrk_native<double>>,
     },
     {
+        // TRSM: the trailing updates are triangle-fraction GEMMs, but the
+        // diagonal-block solves form a sequential chain at single-thread
+        // rate and add a barrier sweep per panel (sync doubles). Both push
+        // the optimum below GEMM's.
         .op = blas::OpKind::kTrsm,
         .family_dims = 2,
         .coord_names = {"n", "m", nullptr},
         .to_shape = &tri_to_shape,
         .from_shape = &tri_from_shape,
-        .make_sampler = &make_trsm_sampler,
-        .cost = simarch::kTrsmCostModel,
-        .measure_native =
-            &by_elem<&measure_trsm_typed<float>, &measure_trsm_typed<double>>,
+        .make_sampler = &make_family_sampler<kTrsmDomain>,
+        .cost = {.triangle_kernel = true,
+                 .serial_diag_chain = true,
+                 .sync_mult = 2.0,
+                 .noise_salt = 0x5452534dull},
+        .measure_native = &by_elem<&trsm_native<float>, &trsm_native<double>>,
     },
     {
+        // SYMM: GEMM's FLOPs, but the mirrored half of every packed A block
+        // is a strided transposed read out of the stored triangle.
         .op = blas::OpKind::kSymm,
         .family_dims = 2,
         .coord_names = {"n", "m", nullptr},
         .to_shape = &tri_to_shape,
         .from_shape = &tri_from_shape,
-        .make_sampler = &make_symm_sampler,
-        .cost = simarch::kSymmCostModel,
-        .measure_native =
-            &by_elem<&measure_symm_typed<float>, &measure_symm_typed<double>>,
+        .make_sampler = &make_family_sampler<kSymmDomain>,
+        .cost = {.copy_mult = 1.3, .noise_salt = 0x53594d4dull},
+        .measure_native = &by_elem<&symm_native<float>, &symm_native<double>>,
     },
     {
-        // TRMM — the registry's proof row: triangle-fraction kernel work
-        // like SYRK/TRSM, plus a packing surcharge for the dense B pre-copy
-        // the in-place product needs (between GEMM's 1.0 and SYMM's 1.3).
+        // TRMM: triangle-fraction kernel work like SYRK/TRSM, plus a
+        // packing surcharge for the dense B pre-copy the in-place product
+        // needs (between GEMM's 1.0 and SYMM's 1.3).
         .op = blas::OpKind::kTrmm,
         .family_dims = 2,
         .coord_names = {"n", "m", nullptr},
         .to_shape = &tri_to_shape,
         .from_shape = &tri_from_shape,
-        .make_sampler = &make_trmm_sampler,
+        .make_sampler = &make_family_sampler<kTrmmDomain>,
         .cost = {.triangle_kernel = true,
                  .copy_mult = 1.2,
-                 .noise_salt = kTrmmNoiseSalt},
-        .measure_native =
-            &by_elem<&measure_trmm_typed<float>, &measure_trmm_typed<double>>,
+                 .noise_salt = 0x54524d4dull},
+        .measure_native = &by_elem<&trmm_native<float>, &trmm_native<double>>,
     },
 };
 

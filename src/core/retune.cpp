@@ -90,7 +90,8 @@ class PlatformStubExecutor : public GemmExecutor {
 
   std::string name() const override { return platform_; }
   int max_threads() const override { return max_threads_; }
-  double measure(const simarch::GemmShape&, int, int) override {
+  double measure_op(blas::OpKind, const simarch::GemmShape&, int,
+                    int) override {
     throw std::logic_error(
         "retune: the platform stub executor cannot measure (telemetry "
         "already carries the timings)");

@@ -76,22 +76,6 @@ std::vector<double> make_rotation(std::uint64_t seed, std::uint64_t salt,
   return rot;
 }
 
-double syrk_footprint(const simarch::GemmShape& s) {
-  return static_cast<double>(s.elem_bytes) *
-         (static_cast<double>(s.n) * s.k + static_cast<double>(s.n) * s.n);
-}
-
-double trsm_footprint(const simarch::GemmShape& s) {
-  return static_cast<double>(s.elem_bytes) *
-         (static_cast<double>(s.m) * s.m + static_cast<double>(s.m) * s.n);
-}
-
-double symm_footprint(const simarch::GemmShape& s) {
-  return static_cast<double>(s.elem_bytes) *
-         (static_cast<double>(s.m) * s.m +
-          2.0 * static_cast<double>(s.m) * s.n);
-}
-
 }  // namespace
 
 GemmDomainSampler::GemmDomainSampler(DomainConfig config)
@@ -140,12 +124,12 @@ simarch::GemmShape Family2DSampler::map_point(
     const std::vector<double>& u) const {
   simarch::GemmShape shape;
   if (spec_.m_equals_n) {
-    // SYRK convention: coords (n, k), stored (n, k, n).
+    // m == n convention: coords (n, k), stored (n, k, n).
     shape.n = sqrt_scale(u[0], config_.dim_min, config_.dim_max);
     shape.k = sqrt_scale(u[1], config_.dim_min, config_.dim_max);
     shape.m = shape.n;
   } else {
-    // Triangular/symmetric convention: coords (n, m), stored (n, n, m).
+    // m == k convention: coords (n, m), stored (n, n, m).
     shape.m = sqrt_scale(u[0], config_.dim_min, config_.dim_max);
     shape.n = sqrt_scale(u[1], config_.dim_min, config_.dim_max);
     shape.k = shape.m;
@@ -174,20 +158,5 @@ std::vector<simarch::GemmShape> Family2DSampler::sample(std::size_t count) {
       [this](const std::vector<double>& u) { return map_point(u); },
       [this](const simarch::GemmShape& s) { return in_domain(s); });
 }
-
-SyrkDomainSampler::SyrkDomainSampler(DomainConfig config)
-    : Family2DSampler(Family2DSpec{"SyrkDomainSampler", 0x5a9c0d17ull,
-                                   /*m_equals_n=*/true, &syrk_footprint},
-                      std::move(config)) {}
-
-TrsmDomainSampler::TrsmDomainSampler(DomainConfig config)
-    : Family2DSampler(Family2DSpec{"TrsmDomainSampler", 0x7c31e8a5ull,
-                                   /*m_equals_n=*/false, &trsm_footprint},
-                      std::move(config)) {}
-
-SymmDomainSampler::SymmDomainSampler(DomainConfig config)
-    : Family2DSampler(Family2DSpec{"SymmDomainSampler", 0x19f4b26dull,
-                                   /*m_equals_n=*/false, &symm_footprint},
-                      std::move(config)) {}
 
 }  // namespace adsala::sampling

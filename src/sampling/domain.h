@@ -8,22 +8,15 @@
 // represented as square ones; points over the cap are rejected and the
 // sequence advanced.
 //
-// The 2-D family samplers cover the rest of the operation family, each under
-// the same cap, bounds, and sqrt scale, so an operation-aware gathering
-// campaign probes every operation over the same territory (stored-shape
-// conventions in docs/OPERATIONS.md). They are all instances of ONE
-// declarative Family2DSampler: a Family2DSpec gives the stored-shape marker
-// (m == n or m == k), the operation's true memory footprint, and a rotation
-// salt that decorrelates the sampler's Cranley-Patterson stream from every
-// sibling. The op registry (core/op_registry.cpp) owns one spec per
-// operation; the named samplers below are thin aliases kept for direct use:
-//   SyrkDomainSampler  (n, k): A n x k, C n x n; stored with m == n;
-//                      footprint elem_bytes*(nk + nn).
-//   TrsmDomainSampler  (n, m): A n x n triangular, B n x m right-hand
-//                      sides; stored with m == k == n; footprint
-//                      elem_bytes*(nn + nm).
-//   SymmDomainSampler  (n, m): A n x n symmetric, B and C n x m; stored
-//                      with m == k == n; footprint elem_bytes*(nn + 2nm).
+// Every other operation family is 2-D and shares one declarative
+// Family2DSampler under the same cap, bounds, and sqrt scale, so an
+// operation-aware gathering campaign probes every operation over the same
+// territory (stored-shape conventions in docs/OPERATIONS.md). A Family2DSpec
+// gives the stored-shape marker (m == n or m == k), the operation's true
+// memory footprint, and a rotation salt that decorrelates the sampler's
+// Cranley-Patterson stream from every sibling. The op registry
+// (core/op_registry.cpp) owns one spec per operation, so this file names
+// none.
 #pragma once
 
 #include <cstdint>
@@ -87,14 +80,14 @@ class GemmDomainSampler : public DomainSampler {
 };
 
 /// Declarative description of one 2-D operation family; the registry row of
-/// each non-GEMM operation provides one.
+/// each 2-D operation provides one.
 struct Family2DSpec {
   const char* who = "Family2DSampler";  ///< error-message prefix
   /// Salt of the Cranley-Patterson rotation stream: a mixed campaign with
   /// one DomainConfig must never probe two operations on identical
   /// diagonals, so every family picks a fresh value.
   std::uint64_t rotation_salt = 0;
-  /// Stored-shape marker: true for the SYRK convention (coords (n, k),
+  /// Stored-shape marker: true for the rank-k convention (coords (n, k),
   /// stored as (n, k, n) with m == n), false for the triangular/symmetric
   /// convention (coords (n, m), stored as (n, n, m) with m == k).
   bool m_equals_n = false;
@@ -126,24 +119,6 @@ class Family2DSampler : public DomainSampler {
   DomainConfig config_;
   ScrambledHalton sequence_;
   std::vector<double> rotation_;
-};
-
-/// Named aliases of the registered family specs (see the header comment for
-/// conventions); kept so tests and direct users need not go through the
-/// registry.
-class SyrkDomainSampler : public Family2DSampler {
- public:
-  explicit SyrkDomainSampler(DomainConfig config);
-};
-
-class TrsmDomainSampler : public Family2DSampler {
- public:
-  explicit TrsmDomainSampler(DomainConfig config);
-};
-
-class SymmDomainSampler : public Family2DSampler {
- public:
-  explicit SymmDomainSampler(DomainConfig config);
 };
 
 }  // namespace adsala::sampling

@@ -68,7 +68,7 @@ double MachineModel::effective_bandwidth(int cores_used, int sockets_used,
   return std::min(core_cap, socket_bw) * 1e9;  // GB/s -> B/s
 }
 
-TimingBreakdown MachineModel::time_gemm(const GemmShape& shape,
+TimingBreakdown MachineModel::time_base(const GemmShape& shape,
                                         const ExecPolicy& policy) const {
   TimingBreakdown out;
   const int p_requested = resolve_threads(policy);
@@ -188,10 +188,10 @@ TimingBreakdown MachineModel::time_gemm(const GemmShape& shape,
 TimingBreakdown MachineModel::time_op(const GemmShape& shape,
                                       const ExecPolicy& policy,
                                       const OpCostModel& cost) const {
-  TimingBreakdown out = time_gemm(shape, policy);
-  // Triangle dimension of the family conventions: shape.m equals the
-  // triangle/symmetric n under m == k, and equals shape.n under SYRK's
-  // m == n, so it serves both.
+  TimingBreakdown out = time_base(shape, policy);
+  // Triangle dimension of the stored-shape conventions: shape.m equals the
+  // triangle/symmetric n under m == k, and equals shape.n under m == n, so
+  // it serves both.
   const double d = static_cast<double>(shape.m);
   if (cost.triangle_kernel && d > 0.0) {
     // Only the uplo triangle's micro-tiles run: d*(d+1)*r multiply-adds vs
@@ -221,76 +221,25 @@ TimingBreakdown MachineModel::time_op(const GemmShape& shape,
   return out;
 }
 
-TimingBreakdown MachineModel::time_syrk(const GemmShape& shape,
-                                        const ExecPolicy& policy) const {
-  return time_op(shape, policy, kSyrkCostModel);
-}
-
-TimingBreakdown MachineModel::time_trsm(const GemmShape& shape,
-                                        const ExecPolicy& policy) const {
-  return time_op(shape, policy, kTrsmCostModel);
-}
-
-TimingBreakdown MachineModel::time_symm(const GemmShape& shape,
-                                        const ExecPolicy& policy) const {
-  return time_op(shape, policy, kSymmCostModel);
-}
-
-namespace {
-
-/// Mean of `iterations` noisy draws around an analytical base time.
-double noisy_mean(const TimingBreakdown& base, std::uint64_t seed,
-                  double sigma, const GemmShape& shape,
-                  const ExecPolicy& policy, int p, int iterations) {
-  double sum = 0.0;
-  for (int it = 0; it < iterations; ++it) {
-    Rng rng(mix_seed(seed, shape.m, shape.k, shape.n, p,
-                     static_cast<int>(policy.affinity),
-                     policy.allow_smt ? 1 : 0, it));
-    double factor = rng.lognormal_factor(sigma);
-    // Rare OS-noise spike, larger with more threads involved.
-    if (rng.uniform() < 0.02) {
-      factor *= 1.0 + rng.uniform(0.1, 0.6) * std::log2(double(p) + 1.0);
-    }
-    sum += base.total() * factor;
-  }
-  return sum / iterations;
-}
-
-}  // namespace
-
 double MachineModel::measure_op(const GemmShape& shape,
                                 const ExecPolicy& policy,
                                 const OpCostModel& cost,
                                 int iterations) const {
-  return noisy_mean(time_op(shape, policy, cost),
-                    noise_seed_ ^ cost.noise_salt, noise_sigma_, shape,
-                    policy, resolve_threads(policy), iterations);
-}
-
-double MachineModel::measure_gemm(const GemmShape& shape,
-                                  const ExecPolicy& policy,
-                                  int iterations) const {
-  return noisy_mean(time_gemm(shape, policy), noise_seed_, noise_sigma_,
-                    shape, policy, resolve_threads(policy), iterations);
-}
-
-double MachineModel::measure_syrk(const GemmShape& shape,
-                                  const ExecPolicy& policy,
-                                  int iterations) const {
-  return measure_op(shape, policy, kSyrkCostModel, iterations);
-}
-
-double MachineModel::measure_trsm(const GemmShape& shape,
-                                  const ExecPolicy& policy,
-                                  int iterations) const {
-  return measure_op(shape, policy, kTrsmCostModel, iterations);
-}
-
-double MachineModel::measure_symm(const GemmShape& shape,
-                                  const ExecPolicy& policy,
-                                  int iterations) const {
-  return measure_op(shape, policy, kSymmCostModel, iterations);
+  const double base = time_op(shape, policy, cost).total();
+  const int p = resolve_threads(policy);
+  double sum = 0.0;
+  for (int it = 0; it < iterations; ++it) {
+    Rng rng(mix_seed(noise_seed_ ^ cost.noise_salt, shape.m, shape.k, shape.n,
+                     p, static_cast<int>(policy.affinity),
+                     policy.allow_smt ? 1 : 0, it));
+    double factor = rng.lognormal_factor(noise_sigma_);
+    // Rare OS-noise spike, larger with more threads involved.
+    if (rng.uniform() < 0.02) {
+      factor *= 1.0 + rng.uniform(0.1, 0.6) * std::log2(double(p) + 1.0);
+    }
+    sum += base * factor;
+  }
+  return sum / iterations;
 }
 
 int MachineModel::optimal_threads(const GemmShape& shape, ExecPolicy policy,
@@ -300,7 +249,7 @@ int MachineModel::optimal_threads(const GemmShape& shape, ExecPolicy policy,
   double best = -1.0;
   for (int p = 1; p <= max; ++p) {
     policy.nthreads = p;
-    const double t = measure_gemm(shape, policy);
+    const double t = measure_op(shape, policy);
     if (best < 0.0 || t < best) {
       best = t;
       best_p = p;

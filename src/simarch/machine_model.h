@@ -14,7 +14,10 @@
 //   - per-thread workspace setup and a p^2 copy-contention term that bites
 //     only on small footprints (the paper's 64x2048x64 pathology),
 //   - single-thread fast path with no packing or sync (Table VII, p=1 row).
-// measure_gemm applies deterministic log-normal noise seeded from the inputs
+// Other operations are the GEMM model of their stored equivalent-GEMM shape
+// adjusted by an OpCostModel literal; the op registry
+// (core/op_registry.cpp) holds one per operation, so this file names none.
+// measure_op applies deterministic log-normal noise seeded from the inputs
 // so repeated experiments are reproducible.
 #pragma once
 
@@ -60,16 +63,15 @@ struct TimingBreakdown {
 
 /// Declarative deviation of one operation's cost from the GEMM model. The
 /// op registry (core/op_registry.cpp) carries one per operation, so the
-/// analytic measure path of a new op is a literal, not a new method:
+/// analytic measure path of a new op is a literal, not a new method. The
+/// default-constructed value is the identity: plain GEMM.
 ///   - triangle_kernel: only the uplo triangle's micro-tiles execute, so the
 ///     kernel component scales by (d + 1) / (2d) with d the triangle
-///     dimension (shape.n under the SYRK m == n convention, shape.m under
-///     the triangular m == k one — identical for in-convention shapes);
-///   - serial_diag_chain: TRSM's diagonal-block solves run at single-thread
-///     rate (an Amdahl term that vanishes at p = 1);
-///   - copy_mult / sync_mult: packing surcharges (SYMM's mirrored strided
-///     reads, TRMM's B pre-copy) and extra barrier sweeps (TRSM's per-panel
-///     re-joins);
+///     dimension (shape.n under the m == n convention, shape.m under the
+///     m == k one — identical for in-convention shapes);
+///   - serial_diag_chain: diagonal-block solves run at single-thread rate
+///     (an Amdahl term that vanishes at p = 1);
+///   - copy_mult / sync_mult: packing surcharges and extra barrier sweeps;
 ///   - noise_salt decorrelates the op's measurement noise stream from the
 ///     GEMM one, so mixed-op campaigns never share draws.
 struct OpCostModel {
@@ -79,25 +81,6 @@ struct OpCostModel {
   double sync_mult = 1.0;
   std::uint64_t noise_salt = 0;
 };
-
-/// Canonical cost models of the built-in family. The op registry
-/// (core/op_registry.cpp) references these same constants, so the
-/// time_syrk/trsm/symm convenience methods and the registry path cannot
-/// drift; an op added after this header froze keeps its cost model in its
-/// registry row alone.
-inline constexpr OpCostModel kGemmCostModel{};
-inline constexpr OpCostModel kSyrkCostModel{
-    .triangle_kernel = true, .noise_salt = 0x53595246ull /* "SYRK" */};
-inline constexpr OpCostModel kTrsmCostModel{.triangle_kernel = true,
-                                            .serial_diag_chain = true,
-                                            .sync_mult = 2.0,
-                                            .noise_salt =
-                                                0x5452534dull /* "TRSM" */};
-/// SYMM: same FLOP volume as the equivalent GEMM; the packing stream is
-/// slower because the mirrored half of every packed A block is read
-/// transposed (strided) out of the stored triangle.
-inline constexpr OpCostModel kSymmCostModel{
-    .copy_mult = 1.3, .noise_salt = 0x53594d4dull /* "SYMM" */};
 
 class MachineModel {
  public:
@@ -109,73 +92,29 @@ class MachineModel {
   /// Threads actually used for a request (clamped to the platform maximum).
   int resolve_threads(const ExecPolicy& policy) const;
 
-  /// Noise-free analytical breakdown of one GEMM call.
-  TimingBreakdown time_gemm(const GemmShape& shape,
-                            const ExecPolicy& policy) const;
-
   /// Noise-free breakdown of one call of an operation described by an
   /// OpCostModel, applied on top of the GEMM breakdown of the stored
-  /// equivalent-GEMM shape. The identity cost model reproduces time_gemm.
+  /// equivalent-GEMM shape. The default cost model times a plain GEMM.
   TimingBreakdown time_op(const GemmShape& shape, const ExecPolicy& policy,
-                          const OpCostModel& cost) const;
-
-  /// Mean of `iterations` noisy total-time draws of an OpCostModel-described
-  /// operation; the cost model's noise salt keeps the stream decorrelated
-  /// from every other op's. Deterministic in (inputs, seed).
-  double measure_op(const GemmShape& shape, const ExecPolicy& policy,
-                    const OpCostModel& cost, int iterations = 10) const;
-
-  /// Noise-free breakdown of one SYRK call, given as the equivalent-GEMM
-  /// shape (m == n; A is n x k). SYRK shares GEMM's packing, barrier, and
-  /// spawn structure (our substrate runs it on the same packed-panel
-  /// machinery, and A is packed into both panel roles), but only the
-  /// triangle's micro-tiles execute: the kernel component scales by
-  /// (n + 1) / (2n).
-  TimingBreakdown time_syrk(const GemmShape& shape,
-                            const ExecPolicy& policy) const;
+                          const OpCostModel& cost = {}) const;
 
   /// Mean of `iterations` noisy total-time draws (the paper times 10
-  /// iterations per configuration, SS V-B.3). Deterministic in (inputs, seed).
-  double measure_gemm(const GemmShape& shape, const ExecPolicy& policy,
-                      int iterations = 10) const;
+  /// iterations per configuration, SS V-B.3); the cost model's noise salt
+  /// keeps the stream decorrelated from every other op's. Deterministic in
+  /// (inputs, seed).
+  double measure_op(const GemmShape& shape, const ExecPolicy& policy,
+                    const OpCostModel& cost = {}, int iterations = 10) const;
 
-  /// SYRK sibling of measure_gemm; noise stream is decorrelated from the
-  /// GEMM stream so mixed-op campaigns do not share draws.
-  double measure_syrk(const GemmShape& shape, const ExecPolicy& policy,
-                      int iterations = 10) const;
-
-  /// Noise-free breakdown of one left-side TRSM, given as the
-  /// equivalent-GEMM shape (m == k == triangle n; shape.n = RHS columns).
-  /// The trailing updates are plain GEMMs over the triangle (kernel scales
-  /// by (n + 1) / (2n) like SYRK), but the diagonal-block solves form a
-  /// sequential dependency chain: their work runs at single-thread rate no
-  /// matter the team size, and the chain inserts an extra barrier sweep per
-  /// panel (sync doubles). Both push the TRSM optimum below the GEMM one.
-  TimingBreakdown time_trsm(const GemmShape& shape,
-                            const ExecPolicy& policy) const;
-
-  /// Noise-free breakdown of one left-side SYMM, equivalent-GEMM shape
-  /// (m == k == symmetric n; shape.n = B/C columns). Same FLOPs as GEMM;
-  /// the packing stream pays for the symmetric expansion (the mirrored half
-  /// of every packed A block is a strided transposed read), so the copy
-  /// component carries a constant surcharge.
-  TimingBreakdown time_symm(const GemmShape& shape,
-                            const ExecPolicy& policy) const;
-
-  /// TRSM sibling of measure_gemm (decorrelated noise stream).
-  double measure_trsm(const GemmShape& shape, const ExecPolicy& policy,
-                      int iterations = 10) const;
-
-  /// SYMM sibling of measure_gemm (decorrelated noise stream).
-  double measure_symm(const GemmShape& shape, const ExecPolicy& policy,
-                      int iterations = 10) const;
-
-  /// Exhaustive argmin of measure_gemm over 1..max_threads. Returns the
+  /// Exhaustive argmin of the GEMM measure_op over 1..max_threads. Returns the
   /// optimal thread count; if best_time is non-null stores its runtime.
   int optimal_threads(const GemmShape& shape, ExecPolicy policy,
                       double* best_time = nullptr) const;
 
  private:
+  /// The GEMM breakdown every OpCostModel adjusts.
+  TimingBreakdown time_base(const GemmShape& shape,
+                            const ExecPolicy& policy) const;
+
   double effective_bandwidth(int cores_used, int sockets_used,
                              bool interleave) const;
 

@@ -64,13 +64,14 @@ TEST(Executor, SimulatedMeasureIsDeterministic) {
   auto a = tiny_executor();
   auto b = tiny_executor();
   const simarch::GemmShape s{200, 300, 400, 4};
-  EXPECT_DOUBLE_EQ(a.measure(s, 4), b.measure(s, 4));
+  EXPECT_DOUBLE_EQ(a.measure_op(blas::OpKind::kGemm, s, 4),
+                   b.measure_op(blas::OpKind::kGemm, s, 4));
 }
 
 TEST(Executor, NativeMeasuresPositiveTime) {
   NativeExecutor ex(4);
   const simarch::GemmShape s{64, 64, 64, 4};
-  const double t = ex.measure(s, 2, 2);
+  const double t = ex.measure_op(blas::OpKind::kGemm, s, 2, 2);
   EXPECT_GT(t, 0.0);
   EXPECT_LT(t, 1.0) << "a 64^3 SGEMM cannot take a second";
 }

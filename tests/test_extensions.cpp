@@ -333,7 +333,7 @@ TEST(DynamicThreading, TinyGemmCollapsesToSingleThread) {
   // parked team only.
   simarch::MachineModel model(simarch::gadi_topology());
   const simarch::GemmShape tiny{16, 16, 16, 4};  // 8 kFLOP
-  const auto bd = model.time_gemm(tiny, {.nthreads = 96});
+  const auto bd = model.time_op(tiny, {.nthreads = 96});
   EXPECT_EQ(bd.sync_s, 0.0);
   EXPECT_EQ(bd.copy_s, 0.0);
   EXPECT_GT(bd.spawn_s, 0.0);
@@ -344,7 +344,7 @@ TEST(DynamicThreading, LargeKShapeEscapesTheCap) {
   // heuristic keeps the full team and the copy blow-up happens.
   simarch::MachineModel model(simarch::gadi_topology());
   const simarch::GemmShape pathological{64, 2048, 64, 4};  // 33 MFLOP
-  const auto bd = model.time_gemm(pathological, {.nthreads = 96});
+  const auto bd = model.time_op(pathological, {.nthreads = 96});
   EXPECT_GT(bd.copy_s, 0.05) << "full team must engage and thrash";
 }
 
@@ -353,9 +353,9 @@ TEST(DynamicThreading, PlateauPenalisesOverRequesting) {
   // the noise-free runtime is strictly increasing in the request.
   simarch::MachineModel model(simarch::gadi_topology());
   const simarch::GemmShape small{100, 100, 100, 4};  // 2 MFLOP -> cap 8
-  const double t8 = model.time_gemm(small, {.nthreads = 8}).total();
-  const double t48 = model.time_gemm(small, {.nthreads = 48}).total();
-  const double t96 = model.time_gemm(small, {.nthreads = 96}).total();
+  const double t8 = model.time_op(small, {.nthreads = 8}).total();
+  const double t48 = model.time_op(small, {.nthreads = 48}).total();
+  const double t96 = model.time_op(small, {.nthreads = 96}).total();
   EXPECT_LT(t8, t48);
   EXPECT_LT(t48, t96);
 }
@@ -365,7 +365,7 @@ TEST(DynamicThreading, TallSkinnyShapeIsNotPathological) {
   // full team (this is what keeps the paper's Table V maxima moderate).
   simarch::MachineModel model(simarch::gadi_topology());
   const simarch::GemmShape tall{4000, 300, 20, 4};
-  const auto bd = model.time_gemm(tall, {.nthreads = 96});
+  const auto bd = model.time_op(tall, {.nthreads = 96});
   EXPECT_LT(bd.copy_s, 0.01);
 }
 

@@ -77,42 +77,6 @@ TEST(OpRegistry, SamplersRespectTheStoredConventions) {
   }
 }
 
-TEST(OpRegistry, RegistrySamplersMatchTheNamedOnes) {
-  // The registry rows of the pre-registry families alias the named samplers;
-  // the draws must be bit-identical so no artefact or baseline shifts.
-  sampling::DomainConfig domain;
-  domain.memory_cap_bytes = 64ull * 1024 * 1024;
-  domain.dim_max = 8000;
-  const auto via_registry =
-      op_traits(blas::OpKind::kSyrk).make_sampler(domain)->sample(20);
-  const auto direct = sampling::SyrkDomainSampler(domain).sample(20);
-  for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(via_registry[i].n, direct[i].n);
-    EXPECT_EQ(via_registry[i].k, direct[i].k);
-  }
-}
-
-TEST(OpRegistry, CostModelsMatchTheMachineModelConvenienceMethods) {
-  // The registry's analytic path and the legacy time_/measure_ methods must
-  // agree exactly — they share the same OpCostModel constants.
-  simarch::MachineModel model(simarch::gadi_topology(), 42);
-  const simarch::GemmShape tri{800, 800, 400, 4};  // m == k family shape
-  const simarch::GemmShape syrk{800, 400, 800, 4};  // m == n family shape
-  const simarch::ExecPolicy policy{.nthreads = 16};
-  EXPECT_DOUBLE_EQ(
-      model.measure_op(syrk, policy, op_traits(blas::OpKind::kSyrk).cost),
-      model.measure_syrk(syrk, policy));
-  EXPECT_DOUBLE_EQ(
-      model.measure_op(tri, policy, op_traits(blas::OpKind::kTrsm).cost),
-      model.measure_trsm(tri, policy));
-  EXPECT_DOUBLE_EQ(
-      model.measure_op(tri, policy, op_traits(blas::OpKind::kSymm).cost),
-      model.measure_symm(tri, policy));
-  EXPECT_DOUBLE_EQ(
-      model.measure_op(tri, policy, op_traits(blas::OpKind::kGemm).cost),
-      model.measure_gemm(tri, policy));
-}
-
 // ---------------------------------------------------------- golden values --
 // Bit-identity guard over every registry row: the noise-free total and the
 // noisy 10-iteration mean of two shapes at two thread counts on Gadi, and the
@@ -205,7 +169,7 @@ TEST(OpRegistry, TrmmCostSitsBetweenTriangleAndGemm) {
   simarch::MachineModel model(simarch::gadi_topology());
   const simarch::GemmShape s{800, 800, 400, 4};
   const simarch::ExecPolicy policy{.nthreads = 8};
-  const auto gemm = model.time_gemm(s, policy);
+  const auto gemm = model.time_op(s, policy);
   const auto trmm =
       model.time_op(s, policy, op_traits(blas::OpKind::kTrmm).cost);
   EXPECT_LT(trmm.kernel_s, gemm.kernel_s);
@@ -216,7 +180,7 @@ TEST(OpRegistry, TrmmCostSitsBetweenTriangleAndGemm) {
       model.measure_op(s, policy, op_traits(blas::OpKind::kTrmm).cost),
       model.measure_op(s, policy, op_traits(blas::OpKind::kTrmm).cost));
   EXPECT_NE(model.measure_op(s, policy, op_traits(blas::OpKind::kTrmm).cost),
-            model.measure_trsm(s, policy));
+            model.measure_op(s, policy, op_traits(blas::OpKind::kTrsm).cost));
 }
 
 // -------------------------------------------------- TRMM through the stack --

@@ -1,10 +1,12 @@
-// Tests for Halton / scrambled Halton sequences and the GEMM domain sampler.
+// Tests for Halton / scrambled Halton sequences, the GEMM domain sampler,
+// and the registry rows' 2-D family samplers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
 
+#include "core/op_registry.h"
 #include "sampling/domain.h"
 #include "sampling/halton.h"
 
@@ -198,14 +200,20 @@ TEST(Domain, ImpossibleCapThrowsOnSample) {
   EXPECT_THROW(sampler.sample(10), std::runtime_error);
 }
 
+/// The sampler of `op`'s registry row.
+std::unique_ptr<DomainSampler> sampler_for(blas::OpKind op,
+                                           const DomainConfig& cfg) {
+  return core::op_traits(op).make_sampler(cfg);
+}
+
 // ------------------------------------------------------------- SyrkDomain
 
 TEST(SyrkDomain, ShapesCarryEquivalentGemmConvention) {
   DomainConfig cfg;
   cfg.memory_cap_bytes = 100ull * 1024 * 1024;
   cfg.dim_max = 40000;
-  SyrkDomainSampler sampler(cfg);
-  for (const auto& s : sampler.sample(200)) {
+  const auto sampler = sampler_for(blas::OpKind::kSyrk, cfg);
+  for (const auto& s : sampler->sample(200)) {
     EXPECT_EQ(s.m, s.n) << "syrk family shapes are (n, k) with m == n";
     // SYRK footprint: A (n x k) + C (n x n).
     const double footprint =
@@ -222,8 +230,9 @@ TEST(SyrkDomain, ShapesCarryEquivalentGemmConvention) {
 TEST(SyrkDomain, DeterministicForFixedSeed) {
   DomainConfig cfg;
   cfg.seed = 42;
-  SyrkDomainSampler a(cfg), b(cfg);
-  const auto sa = a.sample(50), sb = b.sample(50);
+  const auto a = sampler_for(blas::OpKind::kSyrk, cfg);
+  const auto b = sampler_for(blas::OpKind::kSyrk, cfg);
+  const auto sa = a->sample(50), sb = b->sample(50);
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_EQ(sa[i].n, sb[i].n);
     EXPECT_EQ(sa[i].k, sb[i].k);
@@ -236,9 +245,9 @@ TEST(SyrkDomain, DecorrelatedFromGemmSampler) {
   DomainConfig cfg;
   cfg.seed = 1234;
   GemmDomainSampler gemm(cfg);
-  SyrkDomainSampler syrk(cfg);
+  const auto syrk = sampler_for(blas::OpKind::kSyrk, cfg);
   const auto gs = gemm.sample(30);
-  const auto ss = syrk.sample(30);
+  const auto ss = syrk->sample(30);
   int identical = 0;
   for (std::size_t i = 0; i < 30; ++i) {
     if (gs[i].n == ss[i].n && gs[i].k == ss[i].k) ++identical;
@@ -249,8 +258,8 @@ TEST(SyrkDomain, DecorrelatedFromGemmSampler) {
 TEST(SyrkDomain, ImpossibleCapThrowsOnSample) {
   DomainConfig cfg;
   cfg.memory_cap_bytes = 1;
-  SyrkDomainSampler sampler(cfg);
-  EXPECT_THROW(sampler.sample(10), std::runtime_error);
+  const auto sampler = sampler_for(blas::OpKind::kSyrk, cfg);
+  EXPECT_THROW(sampler->sample(10), std::runtime_error);
 }
 
 // ------------------------------------------------- TrsmDomain / SymmDomain
@@ -259,8 +268,8 @@ TEST(TrsmDomain, ShapesCarryEquivalentGemmConvention) {
   DomainConfig cfg;
   cfg.memory_cap_bytes = 100ull * 1024 * 1024;
   cfg.dim_max = 40000;
-  TrsmDomainSampler sampler(cfg);
-  for (const auto& s : sampler.sample(200)) {
+  const auto sampler = sampler_for(blas::OpKind::kTrsm, cfg);
+  for (const auto& s : sampler->sample(200)) {
     EXPECT_EQ(s.m, s.k) << "trsm family shapes are (n, m) with m == k";
     // TRSM footprint: A triangle (n x n) + B (n x m).
     const double footprint =
@@ -278,8 +287,8 @@ TEST(SymmDomain, ShapesRespectTheLargerFootprint) {
   DomainConfig cfg;
   cfg.memory_cap_bytes = 100ull * 1024 * 1024;
   cfg.dim_max = 40000;
-  SymmDomainSampler sampler(cfg);
-  for (const auto& s : sampler.sample(200)) {
+  const auto sampler = sampler_for(blas::OpKind::kSymm, cfg);
+  for (const auto& s : sampler->sample(200)) {
     EXPECT_EQ(s.m, s.k) << "symm family shapes are (n, m) with m == k";
     // SYMM footprint: A (n x n) + B and C (n x m each).
     const double footprint =
@@ -293,8 +302,9 @@ TEST(SymmDomain, ShapesRespectTheLargerFootprint) {
 TEST(TrsmDomain, DeterministicForFixedSeed) {
   DomainConfig cfg;
   cfg.seed = 42;
-  TrsmDomainSampler a(cfg), b(cfg);
-  const auto sa = a.sample(50), sb = b.sample(50);
+  const auto a = sampler_for(blas::OpKind::kTrsm, cfg);
+  const auto b = sampler_for(blas::OpKind::kTrsm, cfg);
+  const auto sa = a->sample(50), sb = b->sample(50);
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_EQ(sa[i].m, sb[i].m);
     EXPECT_EQ(sa[i].n, sb[i].n);
@@ -306,12 +316,12 @@ TEST(TrsmDomain, DecorrelatedFromSiblingSamplers) {
   // family samplers must not walk the same diagonals.
   DomainConfig cfg;
   cfg.seed = 1234;
-  SyrkDomainSampler syrk(cfg);
-  TrsmDomainSampler trsm(cfg);
-  SymmDomainSampler symm(cfg);
-  const auto ss = syrk.sample(30);
-  const auto ts = trsm.sample(30);
-  const auto ms = symm.sample(30);
+  const auto syrk = sampler_for(blas::OpKind::kSyrk, cfg);
+  const auto trsm = sampler_for(blas::OpKind::kTrsm, cfg);
+  const auto symm = sampler_for(blas::OpKind::kSymm, cfg);
+  const auto ss = syrk->sample(30);
+  const auto ts = trsm->sample(30);
+  const auto ms = symm->sample(30);
   int syrk_trsm = 0, trsm_symm = 0;
   for (std::size_t i = 0; i < 30; ++i) {
     syrk_trsm += (ss[i].n == ts[i].m && ss[i].k == ts[i].n);
@@ -324,10 +334,10 @@ TEST(TrsmDomain, DecorrelatedFromSiblingSamplers) {
 TEST(TrsmDomain, ImpossibleCapThrowsOnSample) {
   DomainConfig cfg;
   cfg.memory_cap_bytes = 1;
-  TrsmDomainSampler trsm(cfg);
-  EXPECT_THROW(trsm.sample(10), std::runtime_error);
-  SymmDomainSampler symm(cfg);
-  EXPECT_THROW(symm.sample(10), std::runtime_error);
+  const auto trsm = sampler_for(blas::OpKind::kTrsm, cfg);
+  EXPECT_THROW(trsm->sample(10), std::runtime_error);
+  const auto symm = sampler_for(blas::OpKind::kSymm, cfg);
+  EXPECT_THROW(symm->sample(10), std::runtime_error);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // phenomena the paper measures, determinism, and preset sanity.
 #include <gtest/gtest.h>
 
+#include "core/op_registry.h"
 #include "simarch/machine_model.h"
 
 namespace adsala::simarch {
@@ -9,6 +10,11 @@ namespace {
 
 GemmShape shape(long m, long k, long n, int elem = 4) {
   return GemmShape{m, k, n, elem};
+}
+
+/// The cost model of `op`'s registry row.
+const OpCostModel& cost_of(blas::OpKind op) {
+  return core::op_traits(op).cost;
 }
 
 TEST(Topology, PresetShapes) {
@@ -24,7 +30,7 @@ TEST(Topology, PresetShapes) {
 TEST(MachineModel, SingleThreadHasNoParallelOverhead) {
   // Table VII, p=1 row: sync and copy are exactly zero.
   MachineModel model(gadi_topology());
-  const auto t = model.time_gemm(shape(64, 64, 4096), {.nthreads = 1});
+  const auto t = model.time_op(shape(64, 64, 4096), {.nthreads = 1});
   EXPECT_EQ(t.sync_s, 0.0);
   EXPECT_EQ(t.copy_s, 0.0);
   EXPECT_EQ(t.spawn_s, 0.0);
@@ -33,7 +39,7 @@ TEST(MachineModel, SingleThreadHasNoParallelOverhead) {
 
 TEST(MachineModel, MultiThreadHasAllComponents) {
   MachineModel model(gadi_topology());
-  const auto t = model.time_gemm(shape(512, 512, 512), {.nthreads = 16});
+  const auto t = model.time_op(shape(512, 512, 512), {.nthreads = 16});
   EXPECT_GT(t.sync_s, 0.0);
   EXPECT_GT(t.copy_s, 0.0);
   EXPECT_GT(t.kernel_s, 0.0);
@@ -46,7 +52,7 @@ TEST(MachineModel, KernelTimeGrowsWithFlops) {
   const ExecPolicy policy{.nthreads = 32};
   double prev = 0.0;
   for (long dim : {128, 256, 512, 1024, 2048}) {
-    const double t = model.time_gemm(shape(dim, dim, dim), policy).kernel_s;
+    const double t = model.time_op(shape(dim, dim, dim), policy).kernel_s;
     EXPECT_GT(t, prev) << "kernel time must increase with problem size";
     prev = t;
   }
@@ -55,8 +61,8 @@ TEST(MachineModel, KernelTimeGrowsWithFlops) {
 TEST(MachineModel, DoublePrecisionSlowerThanSingle) {
   MachineModel model(gadi_topology());
   const ExecPolicy policy{.nthreads = 8};
-  const double t32 = model.time_gemm(shape(1024, 1024, 1024, 4), policy).total();
-  const double t64 = model.time_gemm(shape(1024, 1024, 1024, 8), policy).total();
+  const double t32 = model.time_op(shape(1024, 1024, 1024, 4), policy).total();
+  const double t64 = model.time_op(shape(1024, 1024, 1024, 8), policy).total();
   EXPECT_GT(t64, t32);
 }
 
@@ -68,7 +74,7 @@ TEST(MachineModel, MaxThreadsSuboptimalForSmallGemm) {
   double best_time = 0.0;
   const int best = model.optimal_threads(s, {}, &best_time);
   EXPECT_LT(best, 48) << "small-GEMM optimum should be far below 96 threads";
-  const double t_max = model.measure_gemm(s, {.nthreads = 96});
+  const double t_max = model.measure_op(s, {.nthreads = 96});
   EXPECT_GT(t_max / best_time, 2.0)
       << "the paper sees order-of-magnitude gains on this shape";
 }
@@ -88,11 +94,11 @@ TEST(MachineModel, CoreAffinityBeatsThreadAffinityAtLowCounts) {
   const GemmShape s = shape(2048, 2048, 2048);
   for (int p : {4, 8, 16, 32, 48}) {
     const double t_cores = model
-                               .time_gemm(s, {.nthreads = p,
+                               .time_op(s, {.nthreads = p,
                                               .affinity = Affinity::kCores})
                                .total();
     const double t_threads = model
-                                 .time_gemm(s, {.nthreads = p,
+                                 .time_op(s, {.nthreads = p,
                                                 .affinity = Affinity::kThreads})
                                  .total();
     EXPECT_LT(t_cores, t_threads) << "p=" << p;
@@ -103,10 +109,10 @@ TEST(MachineModel, AffinitiesConvergeAtMaxThreads) {
   MachineModel model(gadi_topology());
   const GemmShape s = shape(2048, 2048, 2048);
   const double t_cores =
-      model.time_gemm(s, {.nthreads = 96, .affinity = Affinity::kCores})
+      model.time_op(s, {.nthreads = 96, .affinity = Affinity::kCores})
           .total();
   const double t_threads =
-      model.time_gemm(s, {.nthreads = 96, .affinity = Affinity::kThreads})
+      model.time_op(s, {.nthreads = 96, .affinity = Affinity::kThreads})
           .total();
   EXPECT_NEAR(t_cores / t_threads, 1.0, 1e-9)
       << "at full subscription both policies place identically";
@@ -123,8 +129,8 @@ TEST(MachineModel, SyrkScalesKernelOnly) {
   MachineModel model(gadi_topology());
   const auto s = shape(800, 400, 800);
   const ExecPolicy policy{.nthreads = 8};
-  const auto gemm = model.time_gemm(s, policy);
-  const auto syrk = model.time_syrk(s, policy);
+  const auto gemm = model.time_op(s, policy);
+  const auto syrk = model.time_op(s, policy, cost_of(blas::OpKind::kSyrk));
   // Kernel scales by the triangle fraction (n + 1) / (2n)...
   EXPECT_NEAR(syrk.kernel_s, gemm.kernel_s * (800.0 + 1.0) / 1600.0,
               1e-12 * gemm.kernel_s);
@@ -138,14 +144,15 @@ TEST(MachineModel, SyrkMeasurementDeterministicAndDecorrelated) {
   MachineModel model(gadi_topology(), 42);
   const auto s = shape(500, 500, 500);
   const ExecPolicy policy{.nthreads = 16};
-  EXPECT_DOUBLE_EQ(model.measure_syrk(s, policy),
-                   model.measure_syrk(s, policy));
+  const OpCostModel& syrk = cost_of(blas::OpKind::kSyrk);
+  EXPECT_DOUBLE_EQ(model.measure_op(s, policy, syrk),
+                   model.measure_op(s, policy, syrk));
   // Distinct noise stream: the syrk/gemm ratio is not exactly the noise-free
   // kernel ratio.
-  const double ratio = model.measure_syrk(s, policy) /
-                       model.measure_gemm(s, policy);
-  const double clean_ratio =
-      model.time_syrk(s, policy).total() / model.time_gemm(s, policy).total();
+  const double ratio =
+      model.measure_op(s, policy, syrk) / model.measure_op(s, policy);
+  const double clean_ratio = model.time_op(s, policy, syrk).total() /
+                             model.time_op(s, policy).total();
   EXPECT_NE(ratio, clean_ratio);
   EXPECT_LT(ratio, 1.0) << "syrk does half the kernel work";
 }
@@ -154,8 +161,8 @@ TEST(MachineModel, TrsmPaysSerialChainAndExtraSync) {
   MachineModel model(gadi_topology());
   const GemmShape s{800, 800, 400, 4};  // triangle n = 800, 400 RHS columns
   const ExecPolicy policy{.nthreads = 8};
-  const auto gemm = model.time_gemm(s, policy);
-  const auto trsm = model.time_trsm(s, policy);
+  const auto gemm = model.time_op(s, policy);
+  const auto trsm = model.time_op(s, policy, cost_of(blas::OpKind::kTrsm));
   // Kernel: triangle fraction of the GEMM work plus the single-thread
   // diagonal-solve chain — strictly above the pure triangle scaling, but
   // (for a multi-thread team) the chain term must actually show up.
@@ -172,8 +179,8 @@ TEST(MachineModel, TrsmSingleThreadHasNoSerialSurcharge) {
   MachineModel model(gadi_topology());
   const GemmShape s{600, 600, 300, 4};
   const ExecPolicy policy{.nthreads = 1};
-  const auto gemm = model.time_gemm(s, policy);
-  const auto trsm = model.time_trsm(s, policy);
+  const auto gemm = model.time_op(s, policy);
+  const auto trsm = model.time_op(s, policy, cost_of(blas::OpKind::kTrsm));
   EXPECT_NEAR(trsm.kernel_s, gemm.kernel_s * (600.0 + 1.0) / 1200.0,
               1e-12 * gemm.kernel_s);
 }
@@ -182,8 +189,8 @@ TEST(MachineModel, SymmChargesThePackingStream) {
   MachineModel model(gadi_topology());
   const GemmShape s{800, 800, 400, 4};
   const ExecPolicy policy{.nthreads = 8};
-  const auto gemm = model.time_gemm(s, policy);
-  const auto symm = model.time_symm(s, policy);
+  const auto gemm = model.time_op(s, policy);
+  const auto symm = model.time_op(s, policy, cost_of(blas::OpKind::kSymm));
   // Same FLOPs as GEMM; only the symmetric-expansion copy surcharge moves.
   EXPECT_DOUBLE_EQ(symm.kernel_s, gemm.kernel_s);
   EXPECT_GT(symm.copy_s, gemm.copy_s);
@@ -194,38 +201,41 @@ TEST(MachineModel, FamilyMeasurementsDeterministicAndDecorrelated) {
   MachineModel model(gadi_topology(), 42);
   const GemmShape s{500, 500, 500, 4};
   const ExecPolicy policy{.nthreads = 16};
-  EXPECT_DOUBLE_EQ(model.measure_trsm(s, policy),
-                   model.measure_trsm(s, policy));
-  EXPECT_DOUBLE_EQ(model.measure_symm(s, policy),
-                   model.measure_symm(s, policy));
+  const OpCostModel& trsm = cost_of(blas::OpKind::kTrsm);
+  const OpCostModel& symm = cost_of(blas::OpKind::kSymm);
+  EXPECT_DOUBLE_EQ(model.measure_op(s, policy, trsm),
+                   model.measure_op(s, policy, trsm));
+  EXPECT_DOUBLE_EQ(model.measure_op(s, policy, symm),
+                   model.measure_op(s, policy, symm));
   // Distinct noise streams: measured ratios differ from the noise-free ones.
-  EXPECT_NE(model.measure_trsm(s, policy) / model.measure_gemm(s, policy),
-            model.time_trsm(s, policy).total() /
-                model.time_gemm(s, policy).total());
-  EXPECT_NE(model.measure_symm(s, policy) / model.measure_trsm(s, policy),
-            model.time_symm(s, policy).total() /
-                model.time_trsm(s, policy).total());
+  EXPECT_NE(model.measure_op(s, policy, trsm) / model.measure_op(s, policy),
+            model.time_op(s, policy, trsm).total() /
+                model.time_op(s, policy).total());
+  EXPECT_NE(model.measure_op(s, policy, symm) /
+                model.measure_op(s, policy, trsm),
+            model.time_op(s, policy, symm).total() /
+                model.time_op(s, policy, trsm).total());
 }
 
 TEST(MachineModel, MeasurementIsDeterministic) {
   MachineModel a(setonix_topology(), 42), b(setonix_topology(), 42);
   const GemmShape s = shape(333, 222, 111);
-  EXPECT_DOUBLE_EQ(a.measure_gemm(s, {.nthreads = 7}),
-                   b.measure_gemm(s, {.nthreads = 7}));
+  EXPECT_DOUBLE_EQ(a.measure_op(s, {.nthreads = 7}),
+                   b.measure_op(s, {.nthreads = 7}));
 }
 
 TEST(MachineModel, NoiseSeedChangesMeasurement) {
   MachineModel a(setonix_topology(), 1), b(setonix_topology(), 2);
   const GemmShape s = shape(333, 222, 111);
-  EXPECT_NE(a.measure_gemm(s, {.nthreads = 7}),
-            b.measure_gemm(s, {.nthreads = 7}));
+  EXPECT_NE(a.measure_op(s, {.nthreads = 7}),
+            b.measure_op(s, {.nthreads = 7}));
 }
 
 TEST(MachineModel, NoiseIsSmallRelativeToSignal) {
   MachineModel model(gadi_topology(), 7, 0.04);
   const GemmShape s = shape(1024, 1024, 1024);
-  const double base = model.time_gemm(s, {.nthreads = 16}).total();
-  const double measured = model.measure_gemm(s, {.nthreads = 16}, 10);
+  const double base = model.time_op(s, {.nthreads = 16}).total();
+  const double measured = model.measure_op(s, {.nthreads = 16}, {}, 10);
   EXPECT_NEAR(measured / base, 1.0, 0.25);
 }
 
@@ -233,8 +243,8 @@ TEST(MachineModel, CopyContentionHitsSmallFootprintsOnly) {
   // The paper's 64x2048x64 copy blow-up at 96 threads (Table VII) must not
   // occur for a 500 MB problem.
   MachineModel model(gadi_topology());
-  const auto small = model.time_gemm(shape(64, 2048, 64), {.nthreads = 96});
-  const auto large = model.time_gemm(shape(6000, 3000, 6000), {.nthreads = 96});
+  const auto small = model.time_op(shape(64, 2048, 64), {.nthreads = 96});
+  const auto large = model.time_op(shape(6000, 3000, 6000), {.nthreads = 96});
   EXPECT_GT(small.copy_s / small.total(), 0.5)
       << "copy should dominate the pathological small case";
   EXPECT_LT(large.copy_s / large.total(), 0.5)
@@ -246,15 +256,15 @@ TEST(MachineModel, BreakdownMatchesTable7Shape) {
   // be dramatically worse than at 14 (paper: 167.7 ms vs 1.07 ms per call).
   MachineModel model(gadi_topology());
   const GemmShape s = shape(64, 2048, 64);
-  const double t96 = model.time_gemm(s, {.nthreads = 96}).total();
-  const double t14 = model.time_gemm(s, {.nthreads = 14}).total();
+  const double t96 = model.time_op(s, {.nthreads = 96}).total();
+  const double t14 = model.time_op(s, {.nthreads = 14}).total();
   EXPECT_GT(t96 / t14, 10.0);
 }
 
 TEST(MachineModel, DegenerateShapesHaveZeroTime) {
   MachineModel model(tiny_topology());
-  EXPECT_EQ(model.time_gemm(shape(0, 10, 10), {.nthreads = 4}).total(), 0.0);
-  EXPECT_EQ(model.time_gemm(shape(10, 0, 10), {.nthreads = 4}).total(), 0.0);
+  EXPECT_EQ(model.time_op(shape(0, 10, 10), {.nthreads = 4}).total(), 0.0);
+  EXPECT_EQ(model.time_op(shape(10, 0, 10), {.nthreads = 4}).total(), 0.0);
 }
 
 // Property: the kernel component is monotone in the n dimension for every
@@ -270,7 +280,7 @@ TEST_P(MonotonicityTest, KernelTimeMonotoneInN) {
   double prev = 0.0;
   for (long n = 256; n <= 8192; n *= 2) {
     const double t =
-        model.time_gemm(shape(512, 512, n), {.nthreads = p}).kernel_s;
+        model.time_op(shape(512, 512, n), {.nthreads = p}).kernel_s;
     EXPECT_GE(t, prev) << "n=" << n << " p=" << p;
     prev = t;
   }
@@ -281,7 +291,7 @@ TEST_P(MonotonicityTest, SingleThreadTotalMonotoneInN) {
   double prev = 0.0;
   for (long n = 256; n <= 8192; n *= 2) {
     const double t =
-        model.time_gemm(shape(512, 512, n), {.nthreads = 1}).total();
+        model.time_op(shape(512, 512, n), {.nthreads = 1}).total();
     EXPECT_GE(t, prev) << "n=" << n;
     prev = t;
   }

@@ -511,7 +511,8 @@ int cmd_time(const Args& args) {
   auto executor = make_backend(args.platform);
   for (const auto& shape : shapes) {
     if (args.threads > 0) {
-      const double t = executor->measure(shape, args.threads);
+      const double t =
+          executor->measure_op(blas::OpKind::kGemm, shape, args.threads);
       std::printf("%ldx%ldx%ld @ %d threads: %.1f us (%.1f GFLOPS)\n",
                   shape.m, shape.k, shape.n, args.threads, 1e6 * t,
                   shape.flops() / t / 1e9);
@@ -519,7 +520,7 @@ int cmd_time(const Args& args) {
       std::printf("%ldx%ldx%ld thread sweep on %s:\n", shape.m, shape.k,
                   shape.n, args.platform.c_str());
       for (int p : core::default_thread_grid(executor->max_threads())) {
-        const double t = executor->measure(shape, p);
+        const double t = executor->measure_op(blas::OpKind::kGemm, shape, p);
         std::printf("  p=%3d  %12.1f us  %8.1f GFLOPS\n", p, 1e6 * t,
                     shape.flops() / t / 1e9);
       }
