@@ -144,8 +144,10 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
   preprocess::Pipeline pipeline;
   try {
     pipeline.load(cfg.at("pipeline"));
-  } catch (const std::exception&) {
-    return validation_error(config_label, "malformed pipeline section");
+  } catch (const std::exception& e) {
+    return validation_error(config_label,
+                            std::string("malformed pipeline section: ") +
+                                e.what());
   }
   // Queries are built by column name, so every input column must name a
   // query feature, once.

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "preprocess/correlation_filter.h"
 #include "preprocess/features.h"
@@ -171,6 +173,17 @@ void Pipeline::load(const Json& blob) {
   lambdas_ = blob.at("lambdas").to_doubles();
   means_ = blob.at("means").to_doubles();
   stds_ = blob.at("stds").to_doubles();
+  // transform_kept indexes these by input column.
+  for (const auto& [key, values] : {std::pair{"lambdas", &lambdas_},
+                                    std::pair{"means", &means_},
+                                    std::pair{"stds", &stds_}}) {
+    if (values->size() != names_.size()) {
+      throw std::invalid_argument(
+          std::string("Pipeline: '") + key + "' has " +
+          std::to_string(values->size()) + " entries for " +
+          std::to_string(names_.size()) + " feature columns");
+    }
+  }
   keep_.clear();
   for (const auto& v : blob.at("keep").as_array()) {
     keep_.push_back(static_cast<std::size_t>(v.as_number()));

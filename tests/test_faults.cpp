@@ -310,6 +310,25 @@ TEST_F(ArtefactCorpus, RepeatedFeatureNameRejected) {
       << result.error().message;
 }
 
+TEST_F(ArtefactCorpus, ShortPerColumnArrayRejected) {
+  // Each per-column array must have one entry per feature_names column;
+  // a short one would be read past its end at every query.
+  for (const char* key : {"lambdas", "means", "stds"}) {
+    auto [model, config] = scratch_copy(std::string("short_") + key);
+    rewrite_json(config, [key](Json& doc) {
+      JsonArray& values = doc["pipeline"][key].as_array();
+      ASSERT_GT(values.size(), 5u);
+      values.resize(5);
+    });
+    const auto result = AdsalaGemm::try_load(model, config);
+    ASSERT_FALSE(result.ok()) << key;
+    EXPECT_EQ(result.error().code, ErrorCode::kValidationError) << key;
+    EXPECT_NE(result.error().message.find(std::string("'") + key + "'"),
+              std::string::npos)
+        << result.error().message;
+  }
+}
+
 // Tree structure is checked when the model loads: the corpus model is a
 // decision tree, whose nodes are parallel arrays at the blob's top level.
 TEST_F(ArtefactCorpus, TreeChildOutOfRangeRejected) {
