@@ -27,8 +27,10 @@ enum class ErrorCode {
   kOk = 0,
   kNotFound,            ///< artefact/file missing or unreadable (I/O level)
   kParseError,          ///< file present but not syntactically decodable
-  kValidationError,     ///< decodable but semantically unusable (bad schema
-                        ///< width, empty thread grid, non-finite weight...)
+  kValidationError,     ///< decodable but semantically unusable (unknown or
+                        ///< repeated feature column, per-column array of the
+                        ///< wrong length, empty thread grid, non-finite
+                        ///< weight...)
   kResourceExhausted,   ///< allocation failure (arena growth, buffers)
   kInternal,            ///< invariant violation; a bug, not an input problem
   kUnavailable,         ///< resource temporarily unusable: shm region caught

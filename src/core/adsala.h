@@ -102,10 +102,12 @@ class AdsalaGemm {
   /// Non-throwing artefact loading with full validation: missing files map
   /// to kNotFound, undecodable ones to kParseError (path-qualified), and
   /// decodable-but-unusable ones to kValidationError — unknown format
-  /// stamp, unknown model name, unknown pipeline schema width, empty or
-  /// non-positive or unsorted thread_grid, non-positive max_threads,
-  /// non-finite model weights. Construction only happens after every check
-  /// passes, so a failed load leaves no half-initialised runtime behind.
+  /// stamp, unknown model name, an unknown or repeated feature column name,
+  /// a per-column pipeline array (lambdas, means, stds) whose length is not
+  /// the column count, empty or non-positive or unsorted thread_grid,
+  /// non-positive max_threads, non-finite model weights. Construction only
+  /// happens after every check passes, so a failed load leaves no
+  /// half-initialised runtime behind.
   static Expected<AdsalaGemm> try_load(const std::string& model_path,
                                        const std::string& config_path);
 

@@ -8,13 +8,16 @@
 //   - the memory-capped domain sampler for gathering campaigns,
 //   - the analytic cost model the simulated platforms time it with,
 //   - the native timing closure that runs the real substrate routine.
+// It is the only per-op table: simarch/ and sampling/ provide the generic
+// cost model and samplers these rows parameterise, and name no operation.
 //
 // Adding an operation is one blas/op.h table row, one OpTraits row in
 // op_registry.cpp, and the substrate kernel file itself; the sampler
 // factory (gather), both measure paths (executors), the runtime selection
 // API (AdsalaGemm::select_threads(op, ...)), CLI flags, and the select-bench
 // family all pick the new row up without edits. TRMM landed exactly this
-// way — see docs/OPERATIONS.md for the worked recipe.
+// way, and every built-in row has its shape — see docs/OPERATIONS.md for
+// the worked recipe.
 #pragma once
 
 #include <memory>
