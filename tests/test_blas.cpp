@@ -300,6 +300,145 @@ TEST_P(KernelVariantTest, GemmDegenerateProducts) {
                                         1.0, 2, tuning);
 }
 
+// ------------------------------------------------ exact FMA-order model --
+// The SIMD tiers fix one rounding sequence per C element, wherever the
+// element sits in the tile grid: C is scaled by beta once (skipped when
+// beta == 1), then each kc block accumulates from zero with one fused
+// multiply-add per k, ascending, and folds into C with one fused
+// alpha * acc + c. The scalar std::fma model below follows that order, so
+// every element must match it bit for bit, full tiles and fringes alike.
+
+template <typename T>
+std::vector<T> fma_order_model(Trans ta, Trans tb, int m, int n, int k,
+                               T alpha, const std::vector<T>& a, int lda,
+                               const std::vector<T>& b, int ldb, T beta,
+                               std::vector<T> c, int kc) {
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      T& out = c[static_cast<std::size_t>(i) * n + j];
+      if (beta == T(0)) {
+        out = T(0);
+      } else if (beta != T(1)) {
+        out *= beta;
+      }
+      for (int pc = 0; pc < k; pc += kc) {
+        T acc = T(0);
+        for (int p = pc; p < std::min(k, pc + kc); ++p) {
+          const T av = ta == Trans::kNo ? a[i * static_cast<long>(lda) + p]
+                                        : a[p * static_cast<long>(lda) + i];
+          const T bv = tb == Trans::kNo ? b[p * static_cast<long>(ldb) + j]
+                                        : b[j * static_cast<long>(ldb) + p];
+          acc = std::fma(av, bv, acc);
+        }
+        out = std::fma(alpha, acc, out);
+      }
+    }
+  }
+  return c;
+}
+
+template <typename T>
+void expect_gemm_matches_fma_order_model(kernels::Variant variant) {
+  const auto& ks = kernels::kernel_set<T>(variant);
+  GemmTuning tuning;
+  tuning.variant = variant;
+  // Ragged in m and n (full tiles plus the widest fringe), k crossing kc with
+  // every k mod 4 (the kernels unroll the k loop x4), and a k below the
+  // unroll width.
+  const int m = 2 * ks.mr + 3;
+  const int n = 3 * ks.nr - 1;
+  const T alpha = T(0.7);
+  const T beta = T(1.3);
+  for (const int k : {3, ks.kc + 1, ks.kc + 6, ks.kc + 11, 2 * ks.kc + 4}) {
+    for (const Trans ta : {Trans::kNo, Trans::kYes}) {
+      for (const Trans tb : {Trans::kNo, Trans::kYes}) {
+        const int lda = ta == Trans::kNo ? k : m;
+        const int ldb = tb == Trans::kNo ? n : k;
+        const auto a = random_matrix<T>(ta == Trans::kNo ? m : k, lda, 41);
+        const auto b = random_matrix<T>(tb == Trans::kNo ? k : n, ldb, 42);
+        const auto c0 = random_matrix<T>(m, n, 43);
+        const auto model = fma_order_model<T>(ta, tb, m, n, k, alpha, a, lda,
+                                              b, ldb, beta, c0, ks.kc);
+        for (const int threads : {1, 2}) {
+          auto c = c0;
+          gemm<T>(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
+                  c.data(), n, threads, tuning);
+          int differing = 0;
+          int first = -1;
+          for (int e = 0; e < m * n; ++e) {
+            if (std::memcmp(&c[e], &model[e], sizeof(T)) != 0) {
+              if (first < 0) first = e;
+              ++differing;
+            }
+          }
+          EXPECT_EQ(differing, 0)
+              << "k=" << k << " ta=" << (ta == Trans::kYes) << " tb="
+              << (tb == Trans::kYes) << " p=" << threads << ": first at ("
+              << first / n << ", " << first % n << ") of " << m << "x" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, GemmMatchesFmaOrderModelFloat) {
+  if (GetParam() == kernels::Variant::kGeneric) {
+    GTEST_SKIP() << "the generic tier's rounding is the compiler's choice";
+  }
+  expect_gemm_matches_fma_order_model<float>(GetParam());
+}
+
+TEST_P(KernelVariantTest, GemmMatchesFmaOrderModelDouble) {
+  if (GetParam() == kernels::Variant::kGeneric) {
+    GTEST_SKIP() << "the generic tier's rounding is the compiler's choice";
+  }
+  expect_gemm_matches_fma_order_model<double>(GetParam());
+}
+
+// C(i, j) must not depend on whether column j lands in a full micro-tile or
+// a fringe sliver: a p = 1 GEMM on the first n columns of B has to reproduce
+// those columns of the n = NR call bit for bit, for every n < NR.
+template <typename T>
+void expect_fringe_columns_match_full_tile(kernels::Variant variant) {
+  const auto& ks = kernels::kernel_set<T>(variant);
+  GemmTuning tuning;
+  tuning.variant = variant;
+  const int m = ks.mr + 3;  // one full row tile plus a row fringe
+  const int k = 600;
+  const int nr = ks.nr;
+  const T alpha = T(0.7);
+  const T beta = T(1.3);
+  const auto a = random_matrix<T>(m, k, 44);
+  const auto b = random_matrix<T>(k, nr, 45);
+  const auto c0 = random_matrix<T>(m, nr, 46);
+  auto full = c0;
+  gemm<T>(Trans::kNo, Trans::kNo, m, nr, k, alpha, a.data(), k, b.data(), nr,
+          beta, full.data(), nr, 1, tuning);
+  for (int n = 1; n < nr; ++n) {
+    auto sliver = c0;
+    gemm<T>(Trans::kNo, Trans::kNo, m, n, k, alpha, a.data(), k, b.data(), nr,
+            beta, sliver.data(), nr, 1, tuning);
+    int differing = 0;
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < nr; ++j) {
+        const std::size_t e = static_cast<std::size_t>(i) * nr + j;
+        // Columns past n must be left untouched.
+        const T& want = j < n ? full[e] : c0[e];
+        if (std::memcmp(&sliver[e], &want, sizeof(T)) != 0) ++differing;
+      }
+    }
+    EXPECT_EQ(differing, 0) << "n=" << n << " of NR=" << nr;
+  }
+}
+
+TEST_P(KernelVariantTest, FringeColumnsRoundLikeFullTileFloat) {
+  expect_fringe_columns_match_full_tile<float>(GetParam());
+}
+
+TEST_P(KernelVariantTest, FringeColumnsRoundLikeFullTileDouble) {
+  expect_fringe_columns_match_full_tile<double>(GetParam());
+}
+
 template <typename T>
 void expect_syrk_matches_reference(Uplo uplo, Trans trans, int n, int k,
                                    T alpha, T beta, int nthreads,
