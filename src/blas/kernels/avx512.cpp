@@ -9,11 +9,31 @@
 // the FLOP : B-load ratio from 6 to 14 FMAs per B element, which is what
 // pushes the kernel past the bandwidth ceiling the 6-row AVX2 shape sits
 // under. The kc loop is unrolled x4 with a software prefetch into the packed
-// A panel each unrolled block, mirroring the AVX2 tier. The kernels are
-// compiled with per-function target attributes rather than per-file
+// A and B panels each unrolled block, mirroring the AVX2 tier. The kernels
+// are compiled with per-function target attributes rather than per-file
 // -mavx512f so this TU still builds (and the rest of the library stays
 // portable) under the default x86-64 baseline; the dispatcher only hands
 // these pointers out after a CPUID probe confirms AVX-512F.
+//
+// The accumulator block must never leave the kernel function. It is a local
+// array that only always_inline helpers touch, with every index a
+// compile-time constant, so GCC keeps all 28 accumulators in zmm registers
+// for the whole kc loop. Passing it to an out-of-line helper (or taking its
+// address any other way) makes the compiler store every accumulator back to
+// memory after every FMA, which halves the kernel's throughput. To check a
+// build, disassemble the kc loop and look for accumulator traffic:
+//
+//   objdump -d --no-show-raw-insn -C
+//       build/CMakeFiles/adsala.dir/src/blas/kernels/avx512.cpp.o
+//
+// Between the first prefetcht0 and the loop's backward jump there must be
+// no vmovaps/vmovups to or from memory and no %rsp-relative operand: only
+// vmovups loads of B, vbroadcastss/sd loads of A, and vfmadd231ps/pd.
+//
+// Rounding: every C element takes exactly the sequence of the FMA-order
+// model in tests/test_blas.cpp — acc = 0, one fused multiply-add per k
+// ascending, then one fused alpha * acc + c — in full tiles and fringes
+// alike (the fringe write-back is masked, not a separate scalar path).
 #include "blas/kernels/kernel_set.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -24,208 +44,182 @@ namespace adsala::blas::kernels::detail {
 
 namespace {
 
-inline constexpr int kMrF32 = 14;
-inline constexpr int kNrF32 = 32;
-inline constexpr int kMrF64 = 14;
-inline constexpr int kNrF64 = 16;
+#define ADSALA_AVX512 __attribute__((target("avx512f"), always_inline)) inline
 
-/// Software-prefetch lookahead into the packed A panel, in k iterations.
-/// The panel is read strictly sequentially (MR elements per iteration); a
-/// fixed distance of ~8 iterations (448 B fp32 / 896 B fp64 ahead) keeps the
-/// loads inside the L1 stream. Shorter than the AVX2 tier's 16 because the
-/// 14-row panel advances 2.3x as many bytes per iteration.
-inline constexpr int kAPrefetchIters = 8;
+/// One zmm register's worth of T: the handful of intrinsics the kernel
+/// template below needs, so fp32 and fp64 share one kernel body.
+template <typename T>
+struct Zmm;
 
-__attribute__((target("avx512f"), always_inline)) inline void f32_step(
-    const float* a, const float* b, __m512 acc[kMrF32][2]) {
-  const __m512 b0 = _mm512_loadu_ps(b);
-  const __m512 b1 = _mm512_loadu_ps(b + 16);
-  for (int i = 0; i < kMrF32; ++i) {
-    const __m512 ai = _mm512_set1_ps(a[i]);
-    acc[i][0] = _mm512_fmadd_ps(ai, b0, acc[i][0]);
-    acc[i][1] = _mm512_fmadd_ps(ai, b1, acc[i][1]);
+template <>
+struct Zmm<float> {
+  using Vec = __m512;
+  using Mask = __mmask16;
+  static constexpr int kLanes = 16;
+  ADSALA_AVX512 static Vec zero() { return _mm512_setzero_ps(); }
+  ADSALA_AVX512 static Vec load(const float* p) { return _mm512_loadu_ps(p); }
+  ADSALA_AVX512 static Vec splat(float x) { return _mm512_set1_ps(x); }
+  ADSALA_AVX512 static Vec fma(Vec a, Vec b, Vec c) {
+    return _mm512_fmadd_ps(a, b, c);
+  }
+  ADSALA_AVX512 static void store(float* p, Vec v) { _mm512_storeu_ps(p, v); }
+  ADSALA_AVX512 static Vec load(Mask m, const float* p) {
+    return _mm512_maskz_loadu_ps(m, p);
+  }
+  ADSALA_AVX512 static void store(Mask m, float* p, Vec v) {
+    _mm512_mask_storeu_ps(p, m, v);
+  }
+};
+
+template <>
+struct Zmm<double> {
+  using Vec = __m512d;
+  using Mask = __mmask8;
+  static constexpr int kLanes = 8;
+  ADSALA_AVX512 static Vec zero() { return _mm512_setzero_pd(); }
+  ADSALA_AVX512 static Vec load(const double* p) { return _mm512_loadu_pd(p); }
+  ADSALA_AVX512 static Vec splat(double x) { return _mm512_set1_pd(x); }
+  ADSALA_AVX512 static Vec fma(Vec a, Vec b, Vec c) {
+    return _mm512_fmadd_pd(a, b, c);
+  }
+  ADSALA_AVX512 static void store(double* p, Vec v) { _mm512_storeu_pd(p, v); }
+  ADSALA_AVX512 static Vec load(Mask m, const double* p) {
+    return _mm512_maskz_loadu_pd(m, p);
+  }
+  ADSALA_AVX512 static void store(Mask m, double* p, Vec v) {
+    _mm512_mask_storeu_pd(p, m, v);
+  }
+};
+
+/// Both precisions use a 14-row tile two zmm registers wide.
+inline constexpr int kMr = 14;
+inline constexpr int kVecsPerRow = 2;
+
+/// Software-prefetch lookahead into the packed panels, in k iterations.
+/// The panels are read strictly sequentially; a fixed distance of ~8
+/// iterations (448 B fp32 / 896 B fp64 ahead in A) keeps the loads inside
+/// the L1 stream. Shorter than the AVX2 tier's 16 because the 14-row panel
+/// advances 2.3x as many bytes per iteration.
+inline constexpr int kPrefetchIters = 8;
+
+template <typename T>
+using Acc = typename Zmm<T>::Vec[kMr][kVecsPerRow];
+
+/// acc[i][h] += a[i] * b[h * lanes .. +lanes) for one k step.
+template <typename T>
+ADSALA_AVX512 void step(const T* a, const T* b, Acc<T>& acc) {
+  using V = Zmm<T>;
+  const typename V::Vec b0 = V::load(b);
+  const typename V::Vec b1 = V::load(b + V::kLanes);
+#pragma GCC unroll 14
+  for (int i = 0; i < kMr; ++i) {
+    const typename V::Vec ai = V::splat(a[i]);
+    acc[i][0] = V::fma(ai, b0, acc[i][0]);
+    acc[i][1] = V::fma(ai, b1, acc[i][1]);
   }
 }
 
-__attribute__((target("avx512f"))) void sgemm_14x32_accumulate(
-    int kc, const float* a, const float* b, __m512 acc[kMrF32][2]) {
-  for (int i = 0; i < kMrF32; ++i) {
-    acc[i][0] = _mm512_setzero_ps();
-    acc[i][1] = _mm512_setzero_ps();
+/// Prefetches `bytes` of a sequential panel starting at p, one line each.
+template <int kBytes>
+ADSALA_AVX512 void prefetch_lines(const void* p) {
+  const char* base = static_cast<const char*>(p);
+#pragma GCC unroll 8
+  for (int off = 0; off < kBytes; off += 64) {
+    _mm_prefetch(base + off, _MM_HINT_T0);
+  }
+}
+
+/// The kc loop: acc = A panel * B panel, starting from zero.
+template <typename T>
+ADSALA_AVX512 void accumulate(int kc, const T* a, const T* b, Acc<T>& acc) {
+  constexpr int kNr = kVecsPerRow * Zmm<T>::kLanes;
+#pragma GCC unroll 14
+  for (int i = 0; i < kMr; ++i) {
+    acc[i][0] = Zmm<T>::zero();
+    acc[i][1] = Zmm<T>::zero();
   }
   // x4 unrolled main loop: the four independent FMA groups per row give the
   // scheduler room to hide the 4-cycle FMA latency across 28 live
-  // accumulators.
+  // accumulators. Each block prefetches the four steps' worth of panel
+  // lines kPrefetchIters ahead: A advances 4 * MR elements (224 B fp32 /
+  // 448 B fp64) and B 4 * NR (512 B either way). The 14-row tile leaves
+  // load-port slack (16 load uops vs 28 FMAs per step), so prefetching the
+  // B stream too is free and hides the L2 latency of its first pass.
   int p = 0;
   for (; p + 4 <= kc; p += 4) {
-    // The A pointer advances 4 * MR floats (224 B) per block: four 64-byte
-    // prefetches per block cover every panel line ahead. B advances 4 * NR
-    // floats (512 B = 8 lines) per block; unlike the 6-row AVX2 tile, the
-    // 14-row tile leaves load-port slack (16 load uops vs 28 FMAs per step),
-    // so prefetching the B stream too is free and hides the L2 latency of a
-    // 32 KB B panel's first pass.
-    const char* a_ahead =
-        reinterpret_cast<const char*>(a + kAPrefetchIters * kMrF32);
-    _mm_prefetch(a_ahead, _MM_HINT_T0);
-    _mm_prefetch(a_ahead + 64, _MM_HINT_T0);
-    _mm_prefetch(a_ahead + 128, _MM_HINT_T0);
-    _mm_prefetch(a_ahead + 192, _MM_HINT_T0);
-    const char* b_ahead =
-        reinterpret_cast<const char*>(b + kAPrefetchIters * kNrF32);
-    _mm_prefetch(b_ahead, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 64, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 128, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 192, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 256, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 320, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 384, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 448, _MM_HINT_T0);
-    f32_step(a, b, acc);
-    f32_step(a + kMrF32, b + kNrF32, acc);
-    f32_step(a + 2 * kMrF32, b + 2 * kNrF32, acc);
-    f32_step(a + 3 * kMrF32, b + 3 * kNrF32, acc);
-    a += 4 * kMrF32;
-    b += 4 * kNrF32;
+    prefetch_lines<4 * kMr * static_cast<int>(sizeof(T))>(
+        a + kPrefetchIters * kMr);
+    prefetch_lines<4 * kNr * static_cast<int>(sizeof(T))>(
+        b + kPrefetchIters * kNr);
+    step<T>(a, b, acc);
+    step<T>(a + kMr, b + kNr, acc);
+    step<T>(a + 2 * kMr, b + 2 * kNr, acc);
+    step<T>(a + 3 * kMr, b + 3 * kNr, acc);
+    a += 4 * kMr;
+    b += 4 * kNr;
   }
   for (; p < kc; ++p) {
-    f32_step(a, b, acc);
-    a += kMrF32;
-    b += kNrF32;
+    step<T>(a, b, acc);
+    a += kMr;
+    b += kNr;
   }
 }
 
-__attribute__((target("avx512f"))) void sgemm_14x32_full(int kc, float alpha,
-                                                         const float* a,
-                                                         const float* b,
-                                                         float* c, int ldc) {
-  __m512 acc[kMrF32][2];
-  sgemm_14x32_accumulate(kc, a, b, acc);
-  const __m512 va = _mm512_set1_ps(alpha);
-  for (int i = 0; i < kMrF32; ++i) {
-    float* crow = c + i * static_cast<long>(ldc);
-    _mm512_storeu_ps(crow,
-                     _mm512_fmadd_ps(va, acc[i][0], _mm512_loadu_ps(crow)));
-    _mm512_storeu_ps(
-        crow + 16, _mm512_fmadd_ps(va, acc[i][1], _mm512_loadu_ps(crow + 16)));
+template <typename T>
+__attribute__((target("avx512f"))) void gemm_full(int kc, T alpha, const T* a,
+                                                  const T* b, T* c, int ldc) {
+  using V = Zmm<T>;
+  Acc<T> acc;
+  accumulate<T>(kc, a, b, acc);
+  const typename V::Vec va = V::splat(alpha);
+#pragma GCC unroll 14
+  for (int i = 0; i < kMr; ++i) {
+    T* crow = c + i * static_cast<long>(ldc);
+    V::store(crow, V::fma(va, acc[i][0], V::load(crow)));
+    V::store(crow + V::kLanes,
+             V::fma(va, acc[i][1], V::load(crow + V::kLanes)));
   }
 }
 
-__attribute__((target("avx512f"))) void sgemm_14x32_edge(int kc, float alpha,
-                                                         const float* a,
-                                                         const float* b,
-                                                         float* c, int ldc,
-                                                         int rows, int cols) {
-  __m512 acc[kMrF32][2];
-  sgemm_14x32_accumulate(kc, a, b, acc);
-  alignas(64) float tile[kMrF32][kNrF32];
-  for (int i = 0; i < kMrF32; ++i) {
-    _mm512_store_ps(tile[i], acc[i][0]);
-    _mm512_store_ps(tile[i] + 16, acc[i][1]);
-  }
-  for (int i = 0; i < rows; ++i) {
-    float* crow = c + i * static_cast<long>(ldc);
-    for (int j = 0; j < cols; ++j) crow[j] += alpha * tile[i][j];
+/// Lane mask selecting the first clamp(n, 0, lanes) lanes.
+template <typename T>
+ADSALA_AVX512 typename Zmm<T>::Mask first_lanes(int n) {
+  if (n <= 0) return 0;
+  if (n >= Zmm<T>::kLanes) return static_cast<typename Zmm<T>::Mask>(~0u);
+  return static_cast<typename Zmm<T>::Mask>((1u << n) - 1u);
+}
+
+/// Fringe tile: the same register block and the same fused write-back as
+/// gemm_full, masked to rows x cols. The row guard is a constant-index
+/// test per unrolled row, so the accumulators stay in registers.
+template <typename T>
+__attribute__((target("avx512f"))) void gemm_edge(int kc, T alpha, const T* a,
+                                                  const T* b, T* c, int ldc,
+                                                  int rows, int cols) {
+  using V = Zmm<T>;
+  Acc<T> acc;
+  accumulate<T>(kc, a, b, acc);
+  const typename V::Vec va = V::splat(alpha);
+  const typename V::Mask m0 = first_lanes<T>(cols);
+  const typename V::Mask m1 = first_lanes<T>(cols - V::kLanes);
+#pragma GCC unroll 14
+  for (int i = 0; i < kMr; ++i) {
+    if (i < rows) {
+      T* crow = c + i * static_cast<long>(ldc);
+      V::store(m0, crow, V::fma(va, acc[i][0], V::load(m0, crow)));
+      V::store(m1, crow + V::kLanes,
+               V::fma(va, acc[i][1], V::load(m1, crow + V::kLanes)));
+    }
   }
 }
 
-__attribute__((target("avx512f"), always_inline)) inline void f64_step(
-    const double* a, const double* b, __m512d acc[kMrF64][2]) {
-  const __m512d b0 = _mm512_loadu_pd(b);
-  const __m512d b1 = _mm512_loadu_pd(b + 8);
-  for (int i = 0; i < kMrF64; ++i) {
-    const __m512d ai = _mm512_set1_pd(a[i]);
-    acc[i][0] = _mm512_fmadd_pd(ai, b0, acc[i][0]);
-    acc[i][1] = _mm512_fmadd_pd(ai, b1, acc[i][1]);
-  }
-}
+#undef ADSALA_AVX512
 
-__attribute__((target("avx512f"))) void dgemm_14x16_accumulate(
-    int kc, const double* a, const double* b, __m512d acc[kMrF64][2]) {
-  for (int i = 0; i < kMrF64; ++i) {
-    acc[i][0] = _mm512_setzero_pd();
-    acc[i][1] = _mm512_setzero_pd();
-  }
-  // x4 unrolled main loop with A- and B-stream prefetch, mirroring the fp32
-  // kernel: the load-port slack argument is identical (16 load uops vs 28
-  // FMAs per step) and the fp64 B panel is twice the bytes.
-  int p = 0;
-  for (; p + 4 <= kc; p += 4) {
-    // The A pointer advances 4 * MR doubles (448 B) per block: seven 64-byte
-    // prefetches per block cover every panel line ahead. B advances 4 * NR
-    // doubles (512 B = 8 lines) per block.
-    const char* a_ahead =
-        reinterpret_cast<const char*>(a + kAPrefetchIters * kMrF64);
-    _mm_prefetch(a_ahead, _MM_HINT_T0);
-    _mm_prefetch(a_ahead + 64, _MM_HINT_T0);
-    _mm_prefetch(a_ahead + 128, _MM_HINT_T0);
-    _mm_prefetch(a_ahead + 192, _MM_HINT_T0);
-    _mm_prefetch(a_ahead + 256, _MM_HINT_T0);
-    _mm_prefetch(a_ahead + 320, _MM_HINT_T0);
-    _mm_prefetch(a_ahead + 384, _MM_HINT_T0);
-    const char* b_ahead =
-        reinterpret_cast<const char*>(b + kAPrefetchIters * kNrF64);
-    _mm_prefetch(b_ahead, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 64, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 128, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 192, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 256, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 320, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 384, _MM_HINT_T0);
-    _mm_prefetch(b_ahead + 448, _MM_HINT_T0);
-    f64_step(a, b, acc);
-    f64_step(a + kMrF64, b + kNrF64, acc);
-    f64_step(a + 2 * kMrF64, b + 2 * kNrF64, acc);
-    f64_step(a + 3 * kMrF64, b + 3 * kNrF64, acc);
-    a += 4 * kMrF64;
-    b += 4 * kNrF64;
-  }
-  for (; p < kc; ++p) {
-    f64_step(a, b, acc);
-    a += kMrF64;
-    b += kNrF64;
-  }
-}
-
-__attribute__((target("avx512f"))) void dgemm_14x16_full(int kc, double alpha,
-                                                         const double* a,
-                                                         const double* b,
-                                                         double* c, int ldc) {
-  __m512d acc[kMrF64][2];
-  dgemm_14x16_accumulate(kc, a, b, acc);
-  const __m512d va = _mm512_set1_pd(alpha);
-  for (int i = 0; i < kMrF64; ++i) {
-    double* crow = c + i * static_cast<long>(ldc);
-    _mm512_storeu_pd(crow,
-                     _mm512_fmadd_pd(va, acc[i][0], _mm512_loadu_pd(crow)));
-    _mm512_storeu_pd(
-        crow + 8, _mm512_fmadd_pd(va, acc[i][1], _mm512_loadu_pd(crow + 8)));
-  }
-}
-
-__attribute__((target("avx512f"))) void dgemm_14x16_edge(int kc, double alpha,
-                                                         const double* a,
-                                                         const double* b,
-                                                         double* c, int ldc,
-                                                         int rows, int cols) {
-  __m512d acc[kMrF64][2];
-  dgemm_14x16_accumulate(kc, a, b, acc);
-  alignas(64) double tile[kMrF64][kNrF64];
-  for (int i = 0; i < kMrF64; ++i) {
-    _mm512_store_pd(tile[i], acc[i][0]);
-    _mm512_store_pd(tile[i] + 8, acc[i][1]);
-  }
-  for (int i = 0; i < rows; ++i) {
-    double* crow = c + i * static_cast<long>(ldc);
-    for (int j = 0; j < cols; ++j) crow[j] += alpha * tile[i][j];
-  }
-}
-
-}  // namespace
-
-KernelSet<float> avx512_kernel_set_f32() {
-  KernelSet<float> set;
-  set.mr = kMrF32;
-  set.nr = kNrF32;
+template <typename T>
+KernelSet<T> avx512_kernel_set() {
+  KernelSet<T> set;
+  set.mr = kMr;
+  set.nr = kVecsPerRow * Zmm<T>::kLanes;
   // The 14-row tile wants taller MC (16 micro-panels) and a deeper KC than
   // the 6-row tiers: its per-C-tile write-back is 3.5 KB, so a kc=512 panel
   // halves the write-back rate for the same packed traffic (measured best
@@ -234,24 +228,18 @@ KernelSet<float> avx512_kernel_set_f32() {
   set.kc = 512;
   set.nc = 2048;
   set.name = "avx512";
-  set.full = &sgemm_14x32_full;
-  set.edge = &sgemm_14x32_edge;
-  set.trsm_solve = &avx512_trsm_solve<float>;
+  set.full = &gemm_full<T>;
+  set.edge = &gemm_edge<T>;
+  set.trsm_solve = &avx512_trsm_solve<T>;
   return set;
 }
 
+}  // namespace
+
+KernelSet<float> avx512_kernel_set_f32() { return avx512_kernel_set<float>(); }
+
 KernelSet<double> avx512_kernel_set_f64() {
-  KernelSet<double> set;
-  set.mr = kMrF64;
-  set.nr = kNrF64;
-  set.mc = 224;
-  set.kc = 512;
-  set.nc = 2048;
-  set.name = "avx512";
-  set.full = &dgemm_14x16_full;
-  set.edge = &dgemm_14x16_edge;
-  set.trsm_solve = &avx512_trsm_solve<double>;
-  return set;
+  return avx512_kernel_set<double>();
 }
 
 }  // namespace adsala::blas::kernels::detail
