@@ -7,10 +7,13 @@
 // written to BENCH_gemm_kernel.json via google-benchmark's JSON reporter;
 // on an AVX-512 host that file also carries BM_KernelTierRatio1024's
 // GFLOPS_avx2 / GFLOPS_avx512 / ratio counters (the avx512-vs-avx2 headline
-// number at 1024^3 fp32) and BM_SgemmSmallRepeat tracks the repeated-
+// number at 1024^3 fp32, p = 1) and BM_SgemmSmallRepeat tracks the repeated-
 // small-GEMM regime the PackArena + spin-wait fork/join changes target.
 // BM_TrsmDiagSolve times each variant's TRSM diagonal-block solve
 // (KernelSet::trsm_solve) alone, outside the trailing GEMM updates.
+// BM_MicroKernel/<tier>/<f32|f64> times one SIMD tier's full micro-kernel
+// on cache-resident panels and reports it as a fraction of that tier's FMA
+// peak, measured by a pure-FMA loop in this binary.
 // BM_SsymmSquare and BM_StrmmSquare time p = 1 SYMM and TRMM, and
 // BM_SsyrkSquare times SYRK (square, skinny-n and wide shapes) at p = 1
 // and at the pool maximum.
@@ -35,6 +38,10 @@
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace {
 
@@ -188,7 +195,7 @@ void BM_SgemmSmallRepeat(benchmark::State& state, kernels::Variant variant) {
       benchmark::Counter::kIsRate);
 }
 
-/// Best-of-N per-call seconds for one variant at dim^3 fp32, max threads.
+/// Best-of-N per-call seconds for one variant at dim^3 fp32, one thread.
 double best_seconds(kernels::Variant variant, int dim, int reps,
                     const AlignedBuffer<float>& a,
                     const AlignedBuffer<float>& b, AlignedBuffer<float>& c) {
@@ -197,7 +204,7 @@ double best_seconds(kernels::Variant variant, int dim, int reps,
   for (int r = 0; r < reps + 1; ++r) {  // first call warms pool + arena
     const auto t0 = std::chrono::steady_clock::now();
     blas::gemm<float>(blas::Trans::kNo, blas::Trans::kNo, dim, dim, dim, 1.0f,
-                      a.data(), dim, b.data(), dim, 0.0f, c.data(), dim, 0,
+                      a.data(), dim, b.data(), dim, 0.0f, c.data(), dim, 1,
                       tuning);
     const auto t1 = std::chrono::steady_clock::now();
     if (r > 0) {
@@ -208,9 +215,10 @@ double best_seconds(kernels::Variant variant, int dim, int reps,
 }
 
 void BM_KernelTierRatio1024(benchmark::State& state) {
-  // The headline satellite number: avx512 vs avx2 at 1024^3 fp32, recorded
-  // into BENCH_gemm_kernel.json as counters so the perf trajectory keeps
-  // the ratio, not just the two absolute rates.
+  // The headline kernel-tier number: avx512 vs avx2 at 1024^3 fp32 on one
+  // thread (so threading does not enter the ratio), recorded into
+  // BENCH_gemm_kernel.json as counters so the perf trajectory keeps the
+  // ratio, not just the two absolute rates.
   const int dim = 1024;
   AlignedBuffer<float> a(static_cast<std::size_t>(dim) * dim);
   AlignedBuffer<float> b(static_cast<std::size_t>(dim) * dim);
@@ -329,6 +337,141 @@ void BM_TrsmDiagSolve(benchmark::State& state, kernels::Variant variant) {
       benchmark::Counter::kIsRate);
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+// Pure-FMA throughput loops, one per SIMD tier: independent register-
+// resident chains take one FMA each per iteration and nothing else, so the
+// loop runs at the tier's FMA-port limit. Each tier runs as many chains as
+// fit its register file with room to spare (24 of 32 zmm, 12 of 16 ymm);
+// both counts cover two FMA ports x 4-cycle latency. The result folds in
+// every chain, so no chain can be discarded.
+constexpr int kFmaChains512 = 24;
+constexpr int kFmaChains256 = 12;
+
+#define ADSALA_AVX512 __attribute__((target("avx512f"), always_inline)) inline
+ADSALA_AVX512 __m512 splat512(float x) { return _mm512_set1_ps(x); }
+ADSALA_AVX512 __m512d splat512(double x) { return _mm512_set1_pd(x); }
+ADSALA_AVX512 __m512 fma512(__m512 a, __m512 b, __m512 c) {
+  return _mm512_fmadd_ps(a, b, c);
+}
+ADSALA_AVX512 __m512d fma512(__m512d a, __m512d b, __m512d c) {
+  return _mm512_fmadd_pd(a, b, c);
+}
+ADSALA_AVX512 double lane0(__m512 v) { return _mm512_cvtss_f32(v); }
+ADSALA_AVX512 double lane0(__m512d v) { return _mm512_cvtsd_f64(v); }
+#undef ADSALA_AVX512
+
+#define ADSALA_AVX2 __attribute__((target("avx2,fma"), always_inline)) inline
+ADSALA_AVX2 __m256 splat256(float x) { return _mm256_set1_ps(x); }
+ADSALA_AVX2 __m256d splat256(double x) { return _mm256_set1_pd(x); }
+ADSALA_AVX2 __m256 fma256(__m256 a, __m256 b, __m256 c) {
+  return _mm256_fmadd_ps(a, b, c);
+}
+ADSALA_AVX2 __m256d fma256(__m256d a, __m256d b, __m256d c) {
+  return _mm256_fmadd_pd(a, b, c);
+}
+ADSALA_AVX2 double lane0(__m256 v) { return _mm256_cvtss_f32(v); }
+ADSALA_AVX2 double lane0(__m256d v) { return _mm256_cvtsd_f64(v); }
+#undef ADSALA_AVX2
+
+template <typename T>
+__attribute__((target("avx512f"))) double fma_chains_avx512(long iters) {
+  using Vec = decltype(splat512(T()));
+  Vec x[kFmaChains512];
+  for (auto& v : x) v = splat512(T(1));
+  const Vec mul = splat512(T(0.999999));
+  const Vec add = splat512(T(1e-7));
+  for (long it = 0; it < iters; ++it) {
+#pragma GCC unroll 24
+    for (auto& v : x) v = fma512(v, mul, add);
+  }
+  double sum = 0.0;
+  for (const auto& v : x) sum += lane0(v);
+  return sum;
+}
+
+template <typename T>
+__attribute__((target("avx2,fma"))) double fma_chains_avx2(long iters) {
+  using Vec = decltype(splat256(T()));
+  Vec x[kFmaChains256];
+  for (auto& v : x) v = splat256(T(1));
+  const Vec mul = splat256(T(0.999999));
+  const Vec add = splat256(T(1e-7));
+  for (long it = 0; it < iters; ++it) {
+#pragma GCC unroll 12
+    for (auto& v : x) v = fma256(v, mul, add);
+  }
+  double sum = 0.0;
+  for (const auto& v : x) sum += lane0(v);
+  return sum;
+}
+
+/// Runs `iters` iterations of the tier's pure-FMA loop for T.
+template <typename T>
+double fma_chains(kernels::Variant variant, long iters) {
+  return variant == kernels::Variant::kAvx512 ? fma_chains_avx512<T>(iters)
+                                              : fma_chains_avx2<T>(iters);
+}
+
+template <typename T>
+void BM_MicroKernel(benchmark::State& state, kernels::Variant variant) {
+  // One tier's full micro-kernel on cache-resident packed panels at
+  // kc = 256 (A: MR x 256, B: 256 x NR, C: one MR x NR tile), called back
+  // to back: the kernel's own throughput, with no packing, blocking or
+  // threading around it. A, B and C sit back to back in one buffer, as
+  // in a packing arena: the avx512 fp32 set (47.75 KiB) then just fits a
+  // 48 KiB L1d, where separately allocated panels conflict-missed and cost
+  // the kernel up to 25 % of its rate. The fp64 set (61.75 KiB) streams
+  // part of B from L2 under the kernel's prefetch. alpha is tiny so the
+  // repeated C += alpha * A * B cannot drift toward overflow.
+  //
+  // Each iteration times the kernel calls and then the same tier's pure-FMA
+  // loop making as many vector FMAs, separately: both run at the same
+  // clock, so frac_of_peak does not swing with the host's frequency.
+  const auto& ks = kernels::kernel_set<T>(variant);
+  const int kc = 256;
+  const int calls_per_iter = 16;
+  const bool wide = variant == kernels::Variant::kAvx512;
+  const int lanes = (wide ? 64 : 32) / static_cast<int>(sizeof(T));
+  const int chains = wide ? kFmaChains512 : kFmaChains256;
+  const long peak_iters =
+      static_cast<long>(ks.mr) * (ks.nr / lanes) * kc * calls_per_iter /
+      chains;
+  const std::size_t a_size = static_cast<std::size_t>(ks.mr) * kc;
+  const std::size_t b_size = static_cast<std::size_t>(ks.nr) * kc;
+  AlignedBuffer<T> panels(a_size + b_size +
+                          static_cast<std::size_t>(ks.mr) * ks.nr);
+  fill_random(panels, 20);
+  const T* a = panels.data();
+  const T* b = a + a_size;
+  T* c = panels.data() + a_size + b_size;
+  double kernel_s = 0.0;
+  double peak_s = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < calls_per_iter; ++r) {
+      ks.full(kc, T(1e-6), a, b, c, ks.nr);
+    }
+    benchmark::DoNotOptimize(c);
+    benchmark::ClobberMemory();
+    const auto t1 = std::chrono::steady_clock::now();
+    double sink = fma_chains<T>(variant, peak_iters);
+    benchmark::DoNotOptimize(sink);
+    const auto t2 = std::chrono::steady_clock::now();
+    kernel_s += std::chrono::duration<double>(t1 - t0).count();
+    peak_s += std::chrono::duration<double>(t2 - t1).count();
+  }
+  const double iters = static_cast<double>(state.iterations());
+  const double gflops =
+      2.0 * ks.mr * ks.nr * kc * calls_per_iter * iters / kernel_s / 1e9;
+  const double peak =
+      2.0 * lanes * chains * static_cast<double>(peak_iters) * iters /
+      peak_s / 1e9;
+  state.counters["GFLOPS"] = gflops;
+  state.counters["peak_GFLOPS"] = peak;
+  state.counters["frac_of_peak"] = gflops / peak;
+}
+#endif
+
 /// Element-wise check of one variant against the naive reference at a size
 /// where plain 1e-4 / 1e-10 absolute tolerances are meaningful for the
 /// accumulation length (k = 256).
@@ -441,6 +584,17 @@ int main(int argc, char** argv) {
         ->Args({100, 100})
         ->Unit(benchmark::kMicrosecond);
   }
+#if defined(__x86_64__) || defined(__i386__)
+  for (const auto variant : kernels::supported_variants()) {
+    if (variant == kernels::Variant::kGeneric) continue;
+    const std::string name =
+        std::string("BM_MicroKernel/") + kernels::variant_name(variant);
+    benchmark::RegisterBenchmark((name + "/f32").c_str(),
+                                 BM_MicroKernel<float>, variant);
+    benchmark::RegisterBenchmark((name + "/f64").c_str(),
+                                 BM_MicroKernel<double>, variant);
+  }
+#endif
   if (kernels::cpu_supports_avx512()) {
     benchmark::RegisterBenchmark("BM_KernelTierRatio1024",
                                  BM_KernelTierRatio1024)
