@@ -29,7 +29,9 @@ struct KernelSet {
   /// NR-wide B panel); kc is the panel depth, ldc the row stride of C.
   using FullFn = void (*)(int kc, T alpha, const T* a, const T* b, T* c,
                           int ldc);
-  /// Fringe variant: same contract but writes back only rows x cols.
+  /// Fringe variant: same contract but writes back only rows x cols. The
+  /// SIMD tiers round each written element exactly as `full` would, so an
+  /// element's value does not depend on whether its tile is a fringe.
   using EdgeFn = void (*)(int kc, T alpha, const T* a, const T* b, T* c,
                           int ldc, int rows, int cols);
   /// TRSM diagonal-block solve: rows [j0, j1) of B (row stride ldb) in
