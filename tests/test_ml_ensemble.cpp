@@ -376,5 +376,84 @@ INSTANTIATE_TEST_SUITE_P(Models, FlatEvaluatorTest,
                          ::testing::Values("random_forest", "adaboost",
                                            "xgboost", "lightgbm"));
 
+// ------------------------------------------ byte-identical tree builders
+
+/// Shaped like gather output: each (m, k, n) shape timed at 4 thread counts,
+/// so the shape columns hold runs of 4 tied values, plus a constant column.
+Dataset make_gather_like(std::size_t n_shapes, std::uint64_t seed) {
+  Dataset data({"m", "k", "n", "threads", "flops_per_thread", "const"});
+  Rng rng(seed);
+  for (std::size_t s = 0; s < n_shapes; ++s) {
+    const auto m = static_cast<double>(rng.range(1, 64) * 32);
+    const auto k = static_cast<double>(rng.range(1, 64) * 32);
+    const auto n = static_cast<double>(rng.range(1, 64) * 32);
+    for (const double t : {1.0, 2.0, 3.0, 4.0}) {
+      const double y = std::log(m * k * n / t + 4.0e5 * t) +
+                       rng.normal(0.0, 0.05);
+      data.add_row(std::vector<double>{m, k, n, t, m * k * n / t, 1.0}, y);
+    }
+  }
+  return data;
+}
+
+/// FNV-1a 64 of a string.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The constants were recorded by running this test against the builders as
+// they were before the presorted-column split search (each node sorting its
+// own (value, row) list), default Release build: the presorted search must
+// reproduce those models byte for byte. They hold for the default build; an
+// ADSALA_NATIVE build may contract multiply-adds into FMAs and differ.
+TEST(TreeBuilders, SavedModelsAreByteIdenticalToPerNodeSorting) {
+  const Dataset data = make_gather_like(150, 29);
+  std::vector<double> weights(data.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = i % 7 == 3 ? 0.0 : 1.0 + static_cast<double>(i % 3);
+  }
+  const auto fitted = [&](const char* name, const Params& params) {
+    auto model = make_model(name, params);
+    model->fit(data);
+    return model->save().dump();
+  };
+  DecisionTree weighted;
+  weighted.fit_weighted(data, weights);
+
+  const std::pair<const char*, std::string> dumps[] = {
+      {"decision_tree", fitted("decision_tree", {})},
+      {"decision_tree max_features=0.5",
+       fitted("decision_tree", {{"max_features", 0.5}})},
+      {"decision_tree fit_weighted", weighted.save().dump()},
+      {"random_forest", fitted("random_forest", {{"n_estimators", 20}})},
+      {"adaboost", fitted("adaboost", {})},
+      {"xgboost", fitted("xgboost", {{"n_estimators", 60}})},
+      {"xgboost subsampled",
+       fitted("xgboost", {{"n_estimators", 60},
+                          {"subsample", 0.7},
+                          {"colsample", 0.5},
+                          {"min_child_weight", 3},
+                          {"gamma", 0.01}})},
+  };
+  const std::uint64_t expected[] = {
+      0x1bde83194b35a7c6ull,  // decision_tree
+      0xb7f4589beded211cull,  // decision_tree max_features=0.5
+      0xa256c65198604fc7ull,  // decision_tree fit_weighted
+      0xb4b7213a5536ae7eull,  // random_forest
+      0xbbeab0414c1b0028ull,  // adaboost
+      0x04c8278392d89acaull,  // xgboost
+      0x52a480cd9219e17eull,  // xgboost subsampled
+  };
+  for (std::size_t i = 0; i < std::size(dumps); ++i) {
+    EXPECT_EQ(fnv1a(dumps[i].second), expected[i])
+        << dumps[i].first << ": 0x" << std::hex << fnv1a(dumps[i].second);
+  }
+}
+
 }  // namespace
 }  // namespace adsala::ml

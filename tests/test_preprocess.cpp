@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -94,6 +96,65 @@ TEST(YeoJohnson, MleOnSymmetricDataNearIdentity) {
   EXPECT_NEAR(estimate_lambda(xs), 1.0, 0.4);
 }
 
+/// The MLE objective written out plainly: each value transformed once for
+/// the mean and again for the variance, the log1p term recomputed per call.
+double reference_log_likelihood(std::span<const double> xs, double lambda) {
+  const auto n = static_cast<double>(xs.size());
+  double mean = 0.0;
+  for (double x : xs) mean += yeo_johnson(x, lambda);
+  mean /= n;
+  double var = 0.0;
+  double jacobian = 0.0;
+  for (double x : xs) {
+    const double t = yeo_johnson(x, lambda) - mean;
+    var += t * t;
+    jacobian += (lambda - 1.0) * std::copysign(std::log1p(std::fabs(x)), x);
+  }
+  var /= n;
+  if (var <= 0.0) var = std::numeric_limits<double>::min();
+  return -0.5 * n * std::log(var) + jacobian;
+}
+
+/// Golden-section search on [-5, 5] over reference_log_likelihood.
+double reference_lambda(std::span<const double> xs) {
+  constexpr double kInvPhi = 0.6180339887498949;
+  double a = -5.0, b = 5.0;
+  double c = b - kInvPhi * (b - a);
+  double d = a + kInvPhi * (b - a);
+  double fc = reference_log_likelihood(xs, c);
+  double fd = reference_log_likelihood(xs, d);
+  while (b - a > 1e-4) {
+    if (fc > fd) {
+      b = d;
+      d = c;
+      fd = fc;
+      c = b - kInvPhi * (b - a);
+      fc = reference_log_likelihood(xs, c);
+    } else {
+      a = c;
+      c = d;
+      fc = fd;
+      d = a + kInvPhi * (b - a);
+      fd = reference_log_likelihood(xs, d);
+    }
+  }
+  return 0.5 * (a + b);
+}
+
+TEST(YeoJohnson, LambdaMatchesThePlainObjectiveExactly) {
+  adsala::Rng rng(6);
+  std::vector<double> skewed(500), mixed(500);
+  for (auto& x : skewed) x = std::exp(rng.normal(0.0, 1.5));
+  for (auto& x : mixed) x = rng.normal(-0.5, 2.0);
+  for (const auto& xs : {skewed, mixed}) {
+    EXPECT_EQ(estimate_lambda(xs), reference_lambda(xs));
+    for (const double lambda : {-1.5, 0.0, 0.7, 2.0}) {
+      EXPECT_EQ(yeo_johnson_log_likelihood(xs, lambda),
+                reference_log_likelihood(xs, lambda));
+    }
+  }
+}
+
 // ------------------------------------------------------------------ Scaler
 
 TEST(Scaler, TransformsToZeroMeanUnitVar) {
@@ -178,6 +239,79 @@ TEST(Lof, DuplicatePointsAreSafe) {
     const auto scores = lof_scores(rows, n, d, 5);
     for (double s : scores) EXPECT_TRUE(std::isfinite(s));
   });
+}
+
+/// LOF with every point's distances fully sorted: the neighbourhood is the
+/// prefix within the k-distance, in ascending (distance, id) order.
+std::vector<double> reference_lof(const std::vector<double>& rows,
+                                  std::size_t n, std::size_t d,
+                                  std::size_t k) {
+  std::vector<std::vector<std::pair<double, std::size_t>>> nbr(n);
+  std::vector<double> k_dist(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::pair<double, std::size_t>> dist;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      double s = 0.0;
+      for (std::size_t f = 0; f < d; ++f) {
+        const double diff = rows[i * d + f] - rows[j * d + f];
+        s += diff * diff;
+      }
+      dist.emplace_back(std::sqrt(s), j);
+    }
+    std::sort(dist.begin(), dist.end());
+    k_dist[i] = dist[k - 1].first;
+    for (const auto& p : dist) {
+      if (p.first > k_dist[i]) break;
+      nbr[i].push_back(p);
+    }
+  }
+  std::vector<double> lrd(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum_reach = 0.0;
+    for (const auto& [dist, j] : nbr[i]) {
+      sum_reach += std::max(k_dist[j], dist);
+    }
+    lrd[i] = sum_reach > 0.0
+                 ? static_cast<double>(nbr[i].size()) / sum_reach
+                 : std::numeric_limits<double>::infinity();
+  }
+  std::vector<double> scores(n, 1.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(lrd[i])) continue;
+    double sum_ratio = 0.0;
+    for (const auto& p : nbr[i]) {
+      sum_ratio += std::isfinite(lrd[p.second]) ? lrd[p.second] / lrd[i] : 1e6;
+    }
+    scores[i] = sum_ratio / static_cast<double>(nbr[i].size());
+  }
+  return scores;
+}
+
+TEST(Lof, TiesAtTheKDistanceMatchAFullSortExactly) {
+  // An integer lattice: many neighbours tie at each k-distance. Some points
+  // repeat (some more than k times, so their k-distance is 0), and two far
+  // points make the lattice's edge non-trivial.
+  const std::size_t d = 2;
+  std::vector<double> rows;
+  for (int x = 0; x < 7; ++x) {
+    for (int y = 0; y < 6; ++y) {
+      const int copies = (x * 6 + y) % 9 == 0 ? 1 + (x + y) % 7 : 1;
+      for (int c = 0; c < copies; ++c) {
+        rows.push_back(x);
+        rows.push_back(y);
+      }
+    }
+  }
+  for (const double far : {20.0, 24.0}) {
+    rows.push_back(far);
+    rows.push_back(3.0);
+  }
+  const std::size_t n = rows.size() / d;
+  for (const std::size_t k : {1u, 3u, 4u, 5u, 8u, 20u}) {
+    EXPECT_EQ(lof_scores(rows, n, d, k), reference_lof(rows, n, d, k))
+        << "k=" << k;
+  }
 }
 
 TEST(Lof, SizeMismatchThrows) {
