@@ -17,11 +17,12 @@ void AdaBoostR2::fit(const Dataset& data) {
 
   std::vector<double> weights(n, 1.0 / static_cast<double>(n));
   std::vector<double> errors(n);
+  const SortedColumns sorted(data);
 
   for (int round = 0; round < n_estimators_; ++round) {
     DecisionTree tree({{"max_depth", static_cast<double>(max_depth_)},
                        {"seed", static_cast<double>(seed_ + round)}});
-    tree.fit_weighted(data, weights);
+    tree.fit_weighted(data, weights, sorted);
 
     double max_err = 0.0;
     for (std::size_t i = 0; i < n; ++i) {

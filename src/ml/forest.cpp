@@ -21,6 +21,7 @@ void RandomForest::fit(const Dataset& data) {
     for (std::size_t i = 0; i < n; ++i) w[rng.below(n)] += 1.0;
   }
 
+  const SortedColumns sorted(data);  // shared, read-only, by every tree
   ThreadPool& pool = ThreadPool::global();
   pool.parallel_for(pool.max_threads(), 0, trees_.size(), [&](std::size_t t) {
     Params p = {{"max_depth", static_cast<double>(max_depth_)},
@@ -28,7 +29,7 @@ void RandomForest::fit(const Dataset& data) {
                 {"max_features", max_features_},
                 {"seed", static_cast<double>(seed_ + 1 + t)}};
     trees_[t].set_params(p);
-    trees_[t].fit_weighted(data, weights[t]);
+    trees_[t].fit_weighted(data, weights[t], sorted);
   });
   flat_ = compile_trees(trees_);
 }

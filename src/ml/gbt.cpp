@@ -6,6 +6,7 @@
 #include <stack>
 
 #include "common/rng.h"
+#include "ml/presorted.h"
 
 namespace adsala::ml {
 
@@ -55,8 +56,9 @@ void XgbRegressor::fit(const Dataset& data) {
           static_cast<double>(d) +
       0.999);
 
-  std::vector<std::pair<double, std::size_t>> sorted;
-  sorted.reserve(n);
+  const SortedColumns sorted(data);
+  ColumnBlock columns;
+  std::vector<char> in_round(n);
 
   for (int round = 0; round < n_estimators_; ++round) {
     // Squared-error gradients w.r.t. current prediction.
@@ -89,6 +91,10 @@ void XgbRegressor::fit(const Dataset& data) {
       }
     }
 
+    std::fill(in_round.begin(), in_round.end(), 0);
+    for (const std::size_t r : rows) in_round[r] = 1;
+    columns.carve(sorted, {feature_ids.data(), n_cols}, in_round);
+
     std::vector<TreeNode> nodes;
     nodes.emplace_back();
     std::stack<BuildItem> todo;
@@ -116,18 +122,15 @@ void XgbRegressor::fit(const Dataset& data) {
 
       for (std::size_t t = 0; t < n_cols; ++t) {
         const std::size_t j = feature_ids[t];
-        sorted.clear();
-        for (std::size_t i = item.begin; i < item.end; ++i) {
-          sorted.emplace_back(data.row(rows[i])[j], rows[i]);
-        }
-        std::sort(sorted.begin(), sorted.end());
-        if (sorted.front().first == sorted.back().first) continue;
+        const std::span<const ColumnEntry> col =
+            columns.column(t, item.begin, item.end);
+        if (col.front().value == col.back().value) continue;
 
         double gl = 0.0, hl = 0.0;
-        for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-          gl += grad[sorted[i].second].g;
-          hl += grad[sorted[i].second].h;
-          if (sorted[i].first == sorted[i + 1].first) continue;
+        for (std::size_t i = 0; i + 1 < col.size(); ++i) {
+          gl += grad[col[i].row].g;
+          hl += grad[col[i].row].h;
+          if (col[i].value == col[i + 1].value) continue;
           const double hr = sum_h - hl;
           if (hl < min_child_weight_ || hr < min_child_weight_) continue;
           const double gr = sum_g - gl;
@@ -138,7 +141,7 @@ void XgbRegressor::fit(const Dataset& data) {
           if (gain > best_gain) {
             best_gain = gain;
             best_feature = static_cast<int>(j);
-            best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+            best_threshold = 0.5 * (col[i].value + col[i + 1].value);
           }
         }
       }
@@ -154,6 +157,10 @@ void XgbRegressor::fit(const Dataset& data) {
           });
       const auto mid = static_cast<std::size_t>(mid_it - rows.begin());
       if (mid == item.begin || mid == item.end) continue;
+      // Children at max_depth become leaves without a split search.
+      if (item.depth + 1 < max_depth_) {
+        columns.split(rows, item.begin, mid, item.end);
+      }
 
       const int left_id = static_cast<int>(nodes.size());
       nodes.emplace_back();

@@ -7,6 +7,11 @@
 // and leaf weight -G/(H+lambda), shrunk by the learning rate. Row and column
 // subsampling are supported. This is the model the paper ultimately selects
 // on both platforms (Tables III/IV).
+//
+// Splits come from presorted columns (ml/presorted.h): every feature column
+// is sorted by (value, row) once per fit; each round carves the columns it
+// sampled, keeping only the rows it sampled, and every node scans its own
+// [begin, end) range of them.
 #pragma once
 
 #include <cstdint>

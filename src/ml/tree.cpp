@@ -35,9 +35,18 @@ void DecisionTree::fit(const Dataset& data) {
 
 void DecisionTree::fit_weighted(const Dataset& data,
                                 std::span<const double> weights) {
+  fit_weighted(data, weights, SortedColumns(data));
+}
+
+void DecisionTree::fit_weighted(const Dataset& data,
+                                std::span<const double> weights,
+                                const SortedColumns& sorted) {
   check_fit_input(data);
   if (weights.size() != data.size()) {
     throw std::invalid_argument("DecisionTree: weight count mismatch");
+  }
+  if (sorted.n_rows() != data.size()) {
+    throw std::invalid_argument("DecisionTree: sorted columns of other data");
   }
   const std::size_t n = data.size();
   const std::size_t d = data.n_features();
@@ -54,9 +63,10 @@ void DecisionTree::fit_weighted(const Dataset& data,
   std::vector<std::size_t> feature_ids(d);
   std::iota(feature_ids.begin(), feature_ids.end(), std::size_t{0});
 
-  // Scratch reused across nodes.
-  std::vector<std::pair<double, std::size_t>> sorted;  // (x_j, row index)
-  sorted.reserve(n);
+  // Every column, every row: max_features draws its subset per node, so the
+  // carve takes feature_ids while it is still 0..d-1.
+  ColumnBlock columns;
+  columns.carve(sorted, feature_ids, std::vector<char>(n, 1));
 
   auto weighted_mean = [&](std::size_t begin, std::size_t end) {
     double sw = 0.0, swy = 0.0;
@@ -96,22 +106,18 @@ void DecisionTree::fit_weighted(const Dataset& data,
 
     for (std::size_t t = 0; t < n_try; ++t) {
       const std::size_t j = feature_ids[t];
-      sorted.clear();
-      for (std::size_t i = begin; i < end; ++i) {
-        sorted.emplace_back(data.row(indices[i])[j], indices[i]);
-      }
-      std::sort(sorted.begin(), sorted.end());
-      if (sorted.front().first == sorted.back().first) continue;
+      const std::span<const ColumnEntry> col = columns.column(j, begin, end);
+      if (col.front().value == col.back().value) continue;
 
       double lw = 0.0, lwy = 0.0, lwy2 = 0.0;
       for (std::size_t i = 0; i + 1 < count; ++i) {
-        const std::size_t r = sorted[i].second;
+        const std::size_t r = col[i].row;
         const double w = weights[r];
         const double y = data.label(r);
         lw += w;
         lwy += w * y;
         lwy2 += w * y * y;
-        if (sorted[i].first == sorted[i + 1].first) continue;
+        if (col[i].value == col[i + 1].value) continue;
         const std::size_t n_left = i + 1;
         if (n_left < static_cast<std::size_t>(min_samples_leaf_) ||
             count - n_left < static_cast<std::size_t>(min_samples_leaf_)) {
@@ -126,7 +132,7 @@ void DecisionTree::fit_weighted(const Dataset& data,
         const double gain = parent_sse - sse_left - sse_right;
         if (gain > best.gain) {
           best.feature = static_cast<int>(j);
-          best.threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+          best.threshold = 0.5 * (col[i].value + col[i + 1].value);
           best.gain = gain;
           best.n_left = n_left;
         }
@@ -164,6 +170,10 @@ void DecisionTree::fit_weighted(const Dataset& data,
     const auto mid =
         static_cast<std::size_t>(mid_it - indices.begin());
     if (mid == item.begin || mid == item.end) continue;  // numeric ties
+    // Children at max_depth become leaves without a split search.
+    if (item.depth + 1 < max_depth_) {
+      columns.split(indices, item.begin, mid, item.end);
+    }
 
     const int left_id = static_cast<int>(nodes_.size());
     nodes_.emplace_back();

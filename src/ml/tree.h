@@ -5,12 +5,18 @@
 // forest reuse this one implementation; feature subsampling (max_features)
 // serves the forest. Non-parametric and robust to the skewed feature
 // distributions of the GEMM dataset (paper Table I).
+//
+// The sorted values come from presorted columns (ml/presorted.h): every
+// column is sorted by (value, row) once per fit (once per ensemble fit for
+// the forest and AdaBoost), all d columns are carved because max_features
+// draws per node, and each node scans its own [begin, end) range of them.
 #pragma once
 
 #include <cstdint>
 
 #include "ml/flat_ensemble.h"
 #include "ml/model.h"
+#include "ml/presorted.h"
 
 namespace adsala::ml {
 
@@ -22,6 +28,11 @@ class DecisionTree : public Regressor {
 
   /// Weighted fit; weights must be non-negative, one per row.
   void fit_weighted(const Dataset& data, std::span<const double> weights);
+
+  /// The same fit from `data`'s columns sorted beforehand, so an ensemble
+  /// sorts once and grows every member from the one copy.
+  void fit_weighted(const Dataset& data, std::span<const double> weights,
+                    const SortedColumns& sorted);
 
   double predict_one(std::span<const double> x) const override;
   void predict_grid(std::span<const double> rows, std::size_t n_rows,
