@@ -44,16 +44,23 @@ std::vector<double> lof_scores(std::span<const double> rows, std::size_t n,
       }
       dist.emplace_back(std::sqrt(s), j);
     }
-    std::sort(dist.begin(), dist.end());
-    const double k_dist = dist[k - 1].first;
+    // Only the neighbourhood needs ordering: select the k-th nearest, move
+    // the later entries that tie with it forward, and sort that prefix. It
+    // comes out in the ascending (distance, id) order a full sort gives,
+    // which fixes the summation order of the reachability sums below.
+    const auto kth = dist.begin() + static_cast<std::ptrdiff_t>(k - 1);
+    std::nth_element(dist.begin(), kth, dist.end());
+    const double k_dist = kth->first;
     // The k-neighbourhood includes every point at distance <= k-distance
     // (ties), per the original definition.
+    const auto last = std::partition(
+        kth + 1, dist.end(), [&](const auto& p) { return p.first <= k_dist; });
+    std::sort(dist.begin(), last);
     Neighbourhood& nb = nbr[i];
     nb.k_distance = k_dist;
-    for (const auto& [dd, j] : dist) {
-      if (dd > k_dist) break;
-      nb.ids.push_back(j);
-      nb.dist.push_back(dd);
+    for (auto it = dist.begin(); it != last; ++it) {
+      nb.ids.push_back(it->second);
+      nb.dist.push_back(it->first);
     }
   });
 
