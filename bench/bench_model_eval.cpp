@@ -1,15 +1,19 @@
 // google-benchmark microbenchmarks of the runtime-critical model paths:
-// predict_one for each model family and the full AdsalaGemm thread
-// selection (the t_eval of the paper's speedup formula), plus the training
-// cost of the four tree learners (what an install or retune pays).
+// predict_one for each model family, the thread-grid scoring of a memo miss
+// through either evaluator (leaf-mask tables or the row walk), and the full
+// AdsalaGemm thread selection (the t_eval of the paper's speedup formula),
+// plus the training cost of the four tree learners (what an install or
+// retune pays).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "core/trainer.h"
 #include "ml/registry.h"
 #include "preprocess/features.h"
+#include "preprocess/pipeline.h"
 
 namespace {
 
@@ -69,6 +73,68 @@ void BM_PredictOne(benchmark::State& state, const std::string& name) {
   }
 }
 
+/// xgboost (default params, as the e2e benchmark trains it) behind a
+/// fitted default pipeline over the grid {1, 2, 3, 4}. The shapes are
+/// log-uniform over 1-8000, so the correlation filter drops every x/t
+/// column and n_threads is the only thread column left, as in the e2e
+/// model.
+struct GridModel {
+  preprocess::Pipeline pipeline;
+  std::unique_ptr<ml::Regressor> model;
+  std::vector<int> grid = {1, 2, 3, 4};
+  core::GridEvaluator evaluator;
+};
+
+const GridModel& grid_model() {
+  static const GridModel built = [] {
+    ml::Dataset raw(preprocess::feature_names());
+    Rng rng(5);
+    auto dim = [&] { return std::round(std::exp(rng.uniform(0.0, 9.0))); };
+    for (int s = 0; s < 560; ++s) {
+      const double m = dim(), k = dim(), n = dim();
+      for (const double t : {1.0, 2.0, 3.0, 4.0}) {
+        raw.add_row(preprocess::make_features(m, k, n, t),
+                    std::log(m * k * n / t + 4.0e5 * t) +
+                        rng.normal(0.0, 0.05));
+      }
+    }
+    GridModel out;
+    const ml::Dataset train = out.pipeline.fit_transform(raw);
+    out.model = ml::make_model("xgboost", {});
+    out.model->fit(train);
+    out.evaluator =
+        core::make_grid_evaluator(*out.model, out.pipeline, out.grid);
+    return out;
+  }();
+  return built;
+}
+
+/// One memo miss's grid scores for a fresh small shape (dims <= 256, as on
+/// small_stream); both rows draw the same shapes.
+void BM_GridScore(benchmark::State& state, bool masks) {
+  const GridModel& gm = grid_model();
+  if (!gm.evaluator.point_pos.empty()) {
+    state.SkipWithError("the pipeline kept an x/t column");
+    return;
+  }
+  if (gm.evaluator.masks == nullptr) {
+    state.SkipWithError(gm.evaluator.rows_reason.c_str());
+    return;
+  }
+  Rng rng(4);
+  std::vector<double> out(gm.grid.size());
+  for (auto _ : state) {
+    const simarch::GemmShape shape{rng.range(1, 256), rng.range(1, 256),
+                                   rng.range(1, 256), 4};
+    core::score_thread_grid(*gm.model, gm.pipeline, shape, gm.grid,
+                            blas::OpKind::kGemm,
+                            blas::kernels::Variant::kAuto,
+                            masks ? &gm.evaluator : nullptr, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 void BM_SelectThreads(benchmark::State& state) {
   auto runtime = bench::trained_runtime("gadi");
   Rng rng(2);
@@ -106,6 +172,8 @@ BENCHMARK_CAPTURE(BM_Fit, adaboost, std::string("adaboost"))
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Fit, xgboost, std::string("xgboost"))
     ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GridScore, rows, false)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GridScore, masks, true)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SelectThreads)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SelectThreadsCached);
 

@@ -76,6 +76,13 @@ bool inject_nan(Json& blob) {
   return false;
 }
 
+/// Builds the evaluator a snapshot answers memo misses with, from its
+/// model, pipeline and thread grid (once per snapshot; installs share it).
+void build_evaluator(ServingSnapshot& snap) {
+  snap.evaluator = std::make_shared<const GridEvaluator>(
+      make_grid_evaluator(*snap.model, snap.pipeline, snap.thread_grid));
+}
+
 /// The shared validation ladder: decoded blobs in, a ready-to-publish
 /// snapshot out. try_load feeds it file contents, try_attach feeds it the
 /// payloads copied out of a shared-memory region; `model_label` /
@@ -209,6 +216,7 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
   snap->platform = cfg.at("platform").as_string();
   snap->max_threads = max_threads;
   snap->thread_grid = std::move(thread_grid);
+  build_evaluator(*snap);
   return snap;
 }
 
@@ -223,6 +231,7 @@ std::shared_ptr<ServingSnapshot> snapshot_from(TrainOutput trained) {
   snap->max_threads = trained.max_threads;
   snap->platform = std::move(trained.platform);
   snap->model_name = std::move(trained.selected);
+  build_evaluator(*snap);
   return snap;
 }
 
@@ -363,11 +372,12 @@ std::uint64_t AdsalaGemm::install(TrainOutput trained) {
 
 std::uint64_t AdsalaGemm::install(
     std::shared_ptr<const ServingSnapshot> source) {
-  // Clone the metadata, share the (immutable) model and fallback, start a
-  // fresh memo: stale decisions from the previous generation must never
-  // answer queries against the new one.
+  // Clone the metadata, share the (immutable) model, evaluator and
+  // fallback, start a fresh memo: stale decisions from the previous
+  // generation must never answer queries against the new one.
   auto next = std::make_shared<ServingSnapshot>();
   next->model = source->model;
+  next->evaluator = source->evaluator;
   next->pipeline = source->pipeline;
   next->fallback_model = source->fallback_model;
   next->thread_grid = source->thread_grid;

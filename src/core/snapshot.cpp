@@ -92,7 +92,9 @@ int ServingSnapshot::select_threads(blas::OpKind op, long m, long k, long n,
   const simarch::GemmShape shape{m, k, n, elem_bytes};
   if (model != nullptr) {
     const std::size_t best =
-        predict_best_grid_index(*model, pipeline, shape, thread_grid, op);
+        predict_best_grid_index(*model, pipeline, shape, thread_grid, op,
+                                blas::kernels::Variant::kAuto,
+                                evaluator.get());
     threads = thread_grid[best];
   } else {
     threads = heuristic_threads(*this, op, shape);  // degraded serving mode

@@ -109,6 +109,8 @@ class MemoCache {
 static_assert(sizeof(MemoCache) == MemoCache::kSlots * sizeof(std::uint64_t),
               "memo footprint is pinned: kSlots words, nothing else");
 
+struct GridEvaluator;  // core/trainer.h
+
 /// One immutable generation of serving state. Everything is set before
 /// publication and never written again (the memo's atomics excepted).
 struct ServingSnapshot {
@@ -124,6 +126,11 @@ struct ServingSnapshot {
   int max_threads = 0;
   std::string platform;
   std::string model_name;
+
+  /// Scores the thread grid on a memo miss (core/trainer.h). Built once
+  /// when the model is loaded, attached or trained, and shared by every
+  /// generation installed from this one. Null exactly in heuristic mode.
+  std::shared_ptr<const GridEvaluator> evaluator;
 
   MemoCache memo;
 

@@ -23,18 +23,53 @@ std::vector<std::string> paper_candidates() {
           "xgboost",           "lightgbm"};
 }
 
-std::size_t predict_best_grid_index(const ml::Regressor& model,
-                                    const preprocess::Pipeline& pipeline,
-                                    const simarch::GemmShape& shape,
-                                    std::span<const int> thread_grid,
-                                    blas::OpKind op,
-                                    blas::kernels::Variant variant) {
-  if (thread_grid.empty()) return 0;
+GridEvaluator make_grid_evaluator(const ml::Regressor& model,
+                                  const preprocess::Pipeline& pipeline,
+                                  std::span<const int> thread_grid) {
+  WallTimer timer;
+  GridEvaluator out;
+  out.thread_grid.assign(thread_grid.begin(), thread_grid.end());
+  // Lay the grid out in model input columns (the kept positions): the
+  // n_threads column takes constants of the grid, the other thread columns
+  // vary with the shape, and the rest are shared by every grid point.
+  ml::GridLayout layout;
+  layout.n_points = thread_grid.size();
+  const std::vector<std::size_t>& columns = pipeline.schema_columns();
+  const std::vector<std::size_t>& keep = pipeline.kept_features();
+  for (std::size_t pos = 0; pos < keep.size(); ++pos) {
+    const std::size_t col = columns[keep[pos]];
+    if (col == preprocess::kThreadsColumn) {
+      layout.fixed_cols.push_back(pos);
+    } else if (preprocess::is_thread_feature(col)) {
+      layout.point_cols.push_back(pos);
+    }
+  }
+  const std::size_t n_fixed = layout.fixed_cols.size();
+  layout.fixed_values.resize(thread_grid.size() * n_fixed);
+  for (std::size_t g = 0; g < thread_grid.size(); ++g) {
+    for (std::size_t i = 0; i < n_fixed; ++i) {
+      layout.fixed_values[g * n_fixed + i] = pipeline.transform_kept(
+          layout.fixed_cols[i], static_cast<double>(thread_grid[g]));
+    }
+  }
+  out.masks = model.grid_scorer(layout, &out.rows_reason);
+  out.point_pos = std::move(layout.point_cols);
+  out.build_ms = timer.seconds() * 1e3;
+  return out;
+}
+
+void score_thread_grid(const ml::Regressor& model,
+                       const preprocess::Pipeline& pipeline,
+                       const simarch::GemmShape& shape,
+                       std::span<const int> thread_grid, blas::OpKind op,
+                       blas::kernels::Variant variant,
+                       const GridEvaluator* evaluator,
+                       std::span<double> out) {
+  if (thread_grid.empty()) return;
   // The grid rows differ only in their thread columns: build and
-  // transform the query row once, then rewrite just the kept thread
-  // columns per grid point, and score every row in one predict_grid call.
-  // The rows live in one buffer per thread, so after a thread's first call
-  // a cold selection allocates nothing.
+  // transform the query row once, then redo just the kept thread columns
+  // per grid point. The rows live in one buffer per thread, so after a
+  // thread's first call a cold selection allocates nothing.
   const std::vector<std::size_t>& columns = pipeline.schema_columns();
   auto raw = preprocess::make_query_row(
       columns, static_cast<double>(shape.m), static_cast<double>(shape.k),
@@ -43,9 +78,42 @@ std::size_t predict_best_grid_index(const ml::Regressor& model,
   const std::vector<std::size_t>& keep = pipeline.kept_features();
   const std::size_t cols = keep.size();
   const std::size_t n_rows = thread_grid.size();
-  thread_local std::vector<double> rows, preds;
+  thread_local std::vector<double> rows;
+
+  if (evaluator != nullptr && evaluator->masks != nullptr &&
+      std::equal(thread_grid.begin(), thread_grid.end(),
+                 evaluator->thread_grid.begin(),
+                 evaluator->thread_grid.end())) {
+    // One shared row, then each grid point's values of the point columns;
+    // the tables already hold n_threads at every grid point.
+    const std::vector<std::size_t>& point_pos = evaluator->point_pos;
+    const std::size_t n_point = point_pos.size();
+    rows.resize(cols + n_rows * n_point);
+    for (std::size_t pos = 0; pos < cols; ++pos) {
+      const std::size_t col = columns[keep[pos]];
+      if (!preprocess::is_thread_feature(col)) {
+        // at(): a kept column outside the schema (kNoSchemaColumn) throws.
+        rows[pos] = pipeline.transform_kept(pos, raw.at(col));
+      }
+    }
+    double* point = rows.data() + cols;
+    for (std::size_t t = 0; t < n_rows; ++t) {
+      if (t > 0) {
+        preprocess::set_thread_features(static_cast<double>(thread_grid[t]),
+                                        raw);
+      }
+      for (std::size_t i = 0; i < n_point; ++i) {
+        const std::size_t pos = point_pos[i];
+        point[t * n_point + i] =
+            pipeline.transform_kept(pos, raw[columns[keep[pos]]]);
+      }
+    }
+    evaluator->masks->score({rows.data(), cols},
+                            {point, n_rows * n_point}, out);
+    return;
+  }
+
   rows.resize(n_rows * cols);
-  preds.resize(n_rows);
   for (std::size_t pos = 0; pos < cols; ++pos) {
     // at(): a kept column outside the schema (kNoSchemaColumn) throws.
     rows[pos] = pipeline.transform_kept(pos, raw.at(columns[keep[pos]]));
@@ -61,10 +129,23 @@ std::size_t predict_best_grid_index(const ml::Regressor& model,
       }
     }
   }
-  model.predict_grid(rows, n_rows, preds);
+  model.predict_grid(rows, n_rows, out);
+}
 
+std::size_t predict_best_grid_index(const ml::Regressor& model,
+                                    const preprocess::Pipeline& pipeline,
+                                    const simarch::GemmShape& shape,
+                                    std::span<const int> thread_grid,
+                                    blas::OpKind op,
+                                    blas::kernels::Variant variant,
+                                    const GridEvaluator* evaluator) {
+  if (thread_grid.empty()) return 0;
+  thread_local std::vector<double> preds;
+  preds.resize(thread_grid.size());
+  score_thread_grid(model, pipeline, shape, thread_grid, op, variant,
+                    evaluator, preds);
   std::size_t best = 0;
-  for (std::size_t t = 1; t < n_rows; ++t) {
+  for (std::size_t t = 1; t < preds.size(); ++t) {
     if (preds[t] < preds[best]) best = t;
   }
   return best;
@@ -98,12 +179,14 @@ struct SpeedupStats {
 /// added to the ADSALA runtime (0 for the "ideal" columns).
 SpeedupStats speedups(const ml::Regressor& model,
                       const preprocess::Pipeline& pipeline,
-                      const GatherData& test, double eval_overhead_s) {
+                      const GridEvaluator& evaluator, const GatherData& test,
+                      double eval_overhead_s) {
   SpeedupStats out;
   double sum_ratio = 0.0, sum_orig = 0.0, sum_adsala = 0.0;
   for (const auto& rec : test.records) {
-    const std::size_t best = predict_best_grid_index(
-        model, pipeline, rec.shape, rec.threads, rec.op, rec.variant);
+    const std::size_t best =
+        predict_best_grid_index(model, pipeline, rec.shape, rec.threads,
+                                rec.op, rec.variant, &evaluator);
     const double t_adsala = rec.runtime[best] + eval_overhead_s;
     const double t_orig = rec.max_thread_runtime();
     sum_ratio += t_orig / t_adsala;
@@ -116,9 +199,11 @@ SpeedupStats speedups(const ml::Regressor& model,
   return out;
 }
 
-/// Mean wall time of one full thread-grid argmin evaluation.
+/// Mean wall time of one full thread-grid argmin evaluation, through the
+/// evaluator a snapshot of this model would serve cold selections with.
 double measure_eval_time_s(const ml::Regressor& model,
                            const preprocess::Pipeline& pipeline,
+                           const GridEvaluator& evaluator,
                            const GatherData& test, int repeats = 50) {
   if (test.records.empty()) return 0.0;
   // Rotate over a few shapes so branchy models do not get a single hot path.
@@ -127,8 +212,9 @@ double measure_eval_time_s(const ml::Regressor& model,
   for (int r = 0; r < repeats; ++r) {
     const auto& rec = test.records[static_cast<std::size_t>(r) % n_probe];
     // The argmin result is intentionally unused; volatile blocks DCE.
-    volatile std::size_t sink = predict_best_grid_index(
-        model, pipeline, rec.shape, rec.threads, rec.op, rec.variant);
+    volatile std::size_t sink =
+        predict_best_grid_index(model, pipeline, rec.shape, rec.threads,
+                                rec.op, rec.variant, &evaluator);
     (void)sink;
   }
   return timer.seconds() / repeats;
@@ -206,14 +292,19 @@ TrainOutput train_and_select(const GatherData& gathered,
     const auto pred = fitted->predict(test_set);
     report.test_rmse_norm = ml::normalized_rmse(test_set.labels(), pred);
 
-    const SpeedupStats ideal = speedups(*fitted, out.pipeline, test, 0.0);
+    const GridEvaluator evaluator =
+        make_grid_evaluator(*fitted, out.pipeline, out.thread_grid);
+    const SpeedupStats ideal =
+        speedups(*fitted, out.pipeline, evaluator, test, 0.0);
     report.ideal_mean_speedup = ideal.mean;
     report.ideal_agg_speedup = ideal.aggregate;
 
-    const double eval_s = measure_eval_time_s(*fitted, out.pipeline, test);
+    const double eval_s =
+        measure_eval_time_s(*fitted, out.pipeline, evaluator, test);
     report.eval_time_us = eval_s * 1e6;
 
-    const SpeedupStats est = speedups(*fitted, out.pipeline, test, eval_s);
+    const SpeedupStats est =
+        speedups(*fitted, out.pipeline, evaluator, test, eval_s);
     report.est_mean_speedup = est.mean;
     report.est_agg_speedup = est.aggregate;
 

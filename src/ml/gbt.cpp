@@ -6,6 +6,7 @@
 #include <stack>
 
 #include "common/rng.h"
+#include "ml/grid_scorer.h"
 #include "ml/presorted.h"
 
 namespace adsala::ml {
@@ -193,6 +194,11 @@ void XgbRegressor::predict_grid(std::span<const double> rows,
                                 std::size_t n_rows,
                                 std::span<double> out) const {
   flat_.sum(rows, n_rows, base_score_, out);
+}
+
+std::shared_ptr<const GridScorer> XgbRegressor::grid_scorer(
+    const GridLayout& layout, std::string* why_not) const {
+  return GridScorer::build(trees_, base_score_, layout, why_not);
 }
 
 Json XgbRegressor::save() const {

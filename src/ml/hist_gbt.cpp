@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/thread_pool.h"
+#include "ml/grid_scorer.h"
 
 namespace adsala::ml {
 
@@ -228,6 +229,11 @@ void LightGbmRegressor::predict_grid(std::span<const double> rows,
                                      std::size_t n_rows,
                                      std::span<double> out) const {
   flat_.sum(rows, n_rows, base_score_, out);
+}
+
+std::shared_ptr<const GridScorer> LightGbmRegressor::grid_scorer(
+    const GridLayout& layout, std::string* why_not) const {
+  return GridScorer::build(trees_, base_score_, layout, why_not);
 }
 
 Json LightGbmRegressor::save() const {

@@ -23,6 +23,8 @@ class LightGbmRegressor : public Regressor {
   void predict_grid(std::span<const double> rows, std::size_t n_rows,
                     std::span<double> out) const override;
   std::size_t input_width() const override { return flat_.input_width(); }
+  std::shared_ptr<const GridScorer> grid_scorer(
+      const GridLayout& layout, std::string* why_not) const override;
   std::string name() const override { return "lightgbm"; }
 
   Params get_params() const override {

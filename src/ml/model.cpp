@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "ml/grid_scorer.h"
+
 namespace adsala::ml {
 
 void Regressor::predict_grid(std::span<const double> rows,
@@ -11,6 +13,12 @@ void Regressor::predict_grid(std::span<const double> rows,
   for (std::size_t g = 0; g < n_rows; ++g) {
     out[g] = predict_one(rows.subspan(g * width, width));
   }
+}
+
+std::shared_ptr<const GridScorer> Regressor::grid_scorer(
+    const GridLayout&, std::string* why_not) const {
+  if (why_not != nullptr) *why_not = name() + " is not a boosted tree ensemble";
+  return nullptr;
 }
 
 std::vector<double> Regressor::predict(const Dataset& data) const {

@@ -17,6 +17,9 @@
 
 namespace adsala::ml {
 
+struct GridLayout;
+class GridScorer;
+
 using Params = std::map<std::string, double>;
 
 class Regressor {
@@ -36,6 +39,13 @@ class Regressor {
   /// models walk all rows through their trees together (ml/flat_ensemble.h).
   virtual void predict_grid(std::span<const double> rows, std::size_t n_rows,
                             std::span<double> out) const;
+
+  /// An exact scorer for grids laid out as `layout` (ml/grid_scorer.h):
+  /// its outputs are bit-identical to predict_grid on the same rows. Null,
+  /// with the reason in *why_not, when the model has none; only the
+  /// boosted tree models (xgboost, lightgbm) build one.
+  virtual std::shared_ptr<const GridScorer> grid_scorer(
+      const GridLayout& layout, std::string* why_not) const;
 
   /// Batch prediction over a dataset, through predict_grid.
   std::vector<double> predict(const Dataset& data) const;

@@ -76,11 +76,11 @@ std::vector<std::size_t> categorical_indices() {
 }
 
 bool is_thread_feature(std::size_t col) {
-  return col == 3 || (col >= 9 && col < kNumFeatures);
+  return col == kThreadsColumn || (col >= 9 && col < kNumFeatures);
 }
 
 void set_thread_features(double t, std::span<double> row) {
-  row[3] = t;
+  row[kThreadsColumn] = t;
   // Group 2 is Group 1 over t, minus the n_threads column itself.
   constexpr std::size_t kSerial[] = {0, 1, 2, 4, 5, 6, 7, 8};
   for (std::size_t i = 0; i < std::size(kSerial); ++i) {

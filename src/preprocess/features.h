@@ -106,6 +106,9 @@ std::vector<std::size_t> categorical_indices();
 std::array<double, kNumFeatures> make_features(double m, double k, double n,
                                                double n_threads);
 
+/// Canonical index of the n_threads column.
+inline constexpr std::size_t kThreadsColumn = 3;
+
 /// True for the canonical columns computed from n_threads (3 and 9..16);
 /// the rest of a query row is the same at every grid point.
 bool is_thread_feature(std::size_t col);

@@ -7,15 +7,22 @@
 #include <cstring>
 #include <limits>
 
+#include "blas/op.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "core/executor.h"
+#include "core/op_registry.h"
+#include "core/trainer.h"
 #include "ml/adaboost.h"
 #include "ml/forest.h"
 #include "ml/gbt.h"
+#include "ml/grid_scorer.h"
 #include "ml/hist_gbt.h"
 #include "ml/metrics.h"
 #include "ml/registry.h"
 #include "ml/tree.h"
+#include "preprocess/features.h"
+#include "preprocess/pipeline.h"
 
 namespace adsala::ml {
 namespace {
@@ -452,6 +459,354 @@ TEST(TreeBuilders, SavedModelsAreByteIdenticalToPerNodeSorting) {
   for (std::size_t i = 0; i < std::size(dumps); ++i) {
     EXPECT_EQ(fnv1a(dumps[i].second), expected[i])
         << dumps[i].first << ": 0x" << std::hex << fnv1a(dumps[i].second);
+  }
+}
+
+// ------------------------------------------------ leaf-mask grid scorer
+
+/// A dimension log-uniform over [1, hi], as the sampled domains spread
+/// them.
+long log_uniform_dim(Rng& rng, double hi) {
+  return static_cast<long>(std::exp(rng.uniform(0.0, std::log(hi))));
+}
+
+/// Gather-shaped op-aware rows: every shape of every op timed at each
+/// thread count of `grid`, with a runtime-like label. The kernel columns
+/// are constant (one variant), as in a single-tier campaign.
+Dataset make_op_gather(std::span<const int> grid, std::size_t n_shapes,
+                       std::uint64_t seed) {
+  Dataset data(preprocess::op_aware_feature_names());
+  Rng rng(seed);
+  for (std::size_t s = 0; s < n_shapes; ++s) {
+    const long x = log_uniform_dim(rng, 8000), y = log_uniform_dim(rng, 8000),
+               z = log_uniform_dim(rng, 8000);
+    for (const blas::OpKind op : blas::all_ops()) {
+      const simarch::GemmShape shape =
+          core::op_traits(op).to_shape(x, y, z, 4);
+      const double m = static_cast<double>(shape.m);
+      const double k = static_cast<double>(shape.k);
+      const double n = static_cast<double>(shape.n);
+      const double weight = 1.0 + 0.3 * blas::op_code(op);
+      for (const int p : grid) {
+        const double t = static_cast<double>(p);
+        const auto row = preprocess::make_op_aware_features(
+            m, k, n, t, op, blas::kernels::Variant::kGeneric);
+        const double y_runtime = weight * m * k * n / (t * 2e9) +
+                                 2e-6 * t + (m * k + k * n) * 1e-10 * t;
+        data.add_row(row, std::log(y_runtime) + rng.normal(0.0, 0.03));
+      }
+    }
+  }
+  return data;
+}
+
+/// Fits a pipeline (LOF off, to keep the fit cheap) on `raw`.
+preprocess::Pipeline fit_pipeline(const Dataset& raw, bool corr_filter,
+                                  Dataset* transformed) {
+  preprocess::PipelineConfig cfg;
+  cfg.lof = false;
+  cfg.corr_filter = corr_filter;
+  cfg.categorical = preprocess::categorical_indices();
+  preprocess::Pipeline pipeline(cfg);
+  *transformed = pipeline.fit_transform(raw);
+  return pipeline;
+}
+
+struct BoostedCase {
+  const char* name;
+  Params params;
+};
+
+/// xgboost and lightgbm at their defaults and at a tuned-grid point
+/// (ml::default_grid).
+const BoostedCase kBoosted[] = {
+    {"xgboost", {}},
+    {"xgboost", {{"n_estimators", 150}, {"max_depth", 4},
+                 {"learning_rate", 0.05}}},
+    {"lightgbm", {}},
+    {"lightgbm", {{"n_estimators", 150}, {"num_leaves", 63},
+                  {"learning_rate", 0.05}}},
+};
+
+bool same_bytes(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The masks answer every grid query with the same bits as predict_grid on
+// the grid's rows: both thread grids, the correlation filter on (only
+// n_threads varies across the grid) and off (the x/t columns vary too),
+// all five ops at both element sizes.
+TEST(GridScorer, BitIdenticalToPredictGridThroughThePipeline) {
+  const std::vector<int> small_grid = {1, 2, 3, 4};
+  const std::vector<int> wide_grid = core::default_thread_grid(256);
+  ASSERT_EQ(wide_grid.size(), 21u);
+  std::size_t row_sets = 0;
+  for (const auto* grid : {&small_grid, &wide_grid}) {
+    const Dataset raw = make_op_gather(*grid, grid->size() > 4 ? 24 : 80, 41);
+    for (const bool corr_filter : {true, false}) {
+      Dataset train;
+      const preprocess::Pipeline pipeline =
+          fit_pipeline(raw, corr_filter, &train);
+      for (const BoostedCase& c : kBoosted) {
+        SCOPED_TRACE(std::string(c.name) + " grid " +
+                     std::to_string(grid->size()) + " corr_filter " +
+                     (corr_filter ? "on" : "off"));
+        auto model = make_model(c.name, c.params);
+        model->fit(train);
+        const core::GridEvaluator evaluator =
+            core::make_grid_evaluator(*model, pipeline, *grid);
+        ASSERT_NE(evaluator.masks, nullptr) << evaluator.rows_reason;
+        // With the filter on, only n_threads survives of the thread
+        // columns; with it off, the x/t columns are scored per point.
+        EXPECT_EQ(evaluator.point_pos.empty(), corr_filter);
+
+        Rng rng(7);
+        std::vector<double> masks(grid->size()), rows(grid->size());
+        const std::size_t n_sets = grid->size() > 4 ? 700 : 2200;
+        for (std::size_t i = 0; i < n_sets; ++i, ++row_sets) {
+          const blas::OpKind op = blas::all_ops()[i % blas::kNumOps];
+          const int elem = (i / blas::kNumOps) % 2 == 0 ? 4 : 8;
+          const simarch::GemmShape shape = core::op_traits(op).to_shape(
+              log_uniform_dim(rng, 20000), log_uniform_dim(rng, 20000),
+              log_uniform_dim(rng, 20000), elem);
+          core::score_thread_grid(*model, pipeline, shape, *grid, op,
+                                  blas::kernels::Variant::kAuto, &evaluator,
+                                  masks);
+          core::score_thread_grid(*model, pipeline, shape, *grid, op,
+                                  blas::kernels::Variant::kAuto, nullptr,
+                                  rows);
+          ASSERT_TRUE(same_bytes(masks, rows))
+              << blas::op_name(op) << " " << shape.m << "x" << shape.k
+              << "x" << shape.n;
+        }
+      }
+    }
+  }
+  EXPECT_GE(row_sets, 20000u);
+}
+
+/// Every split threshold of a saved tree model, per input column.
+std::vector<std::vector<double>> thresholds_by_column(const Regressor& model,
+                                                      std::size_t width) {
+  std::vector<std::vector<double>> out(width);
+  const Json blob = model.save();
+  for (const Json& tree : blob.at("trees").as_array()) {
+    const auto& features = tree.at("feature").as_array();
+    const auto& thresholds = tree.at("threshold").as_array();
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      const int f = features[i].as_int();
+      if (f >= 0) {
+        out[static_cast<std::size_t>(f)].push_back(thresholds[i].as_number());
+      }
+    }
+  }
+  return out;
+}
+
+/// A value that lands on the edges of `column`'s splits: one of its
+/// thresholds exactly, a neighbour of one, +-inf, NaN, or an ordinary
+/// value.
+double edge_value(Rng& rng, const std::vector<double>& thresholds) {
+  const double pick = thresholds.empty()
+                          ? 0.0
+                          : thresholds[static_cast<std::size_t>(rng.range(
+                                0, static_cast<long>(thresholds.size()) - 1))];
+  switch (rng.range(0, 7)) {
+    case 0:
+    case 1: return pick;
+    case 2: return std::nextafter(pick, std::numeric_limits<double>::infinity());
+    case 3: return std::nextafter(pick, -std::numeric_limits<double>::infinity());
+    case 4: return std::numeric_limits<double>::infinity();
+    case 5: return -std::numeric_limits<double>::infinity();
+    case 6: return std::numeric_limits<double>::quiet_NaN();
+    default: return rng.uniform(-4000.0, 70000.0);
+  }
+}
+
+// Values exactly equal to a threshold stay left, NaN goes right at every
+// split, and +-inf rank past or before every threshold, exactly as the
+// row walk treats them; in shared, fixed and per-point columns alike.
+TEST(GridScorer, ThresholdTiesInfinitiesAndNaNMatchTheRowWalk) {
+  const Dataset data = make_gather_like(150, 31);  // has a constant column
+  const std::size_t width = data.n_features();
+  for (const BoostedCase& c : kBoosted) {
+    SCOPED_TRACE(c.name);
+    auto model = make_model(c.name, c.params);
+    model->fit(data);
+    const auto thresholds = thresholds_by_column(*model, width);
+    ASSERT_FALSE(thresholds[3].empty()) << "no split on the threads column";
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+
+    std::vector<GridLayout> layouts(4);
+    layouts[0].n_points = 4;  // n_threads fixed, one per-point column
+    layouts[0].fixed_cols = {3};
+    layouts[0].fixed_values = {1.0, 2.0, 3.0, 4.0};
+    layouts[0].point_cols = {4};
+    layouts[1] = layouts[0];  // fixed values on the edges
+    layouts[1].fixed_values = {thresholds[3].front(), -inf, inf, nan};
+    layouts[2].n_points = 5;  // everything thread-like per point
+    layouts[2].point_cols = {4, 3};
+    layouts[3].n_points = 2;  // nothing varies
+    for (const GridLayout& layout : layouts) {
+      std::string why;
+      const auto scorer = model->grid_scorer(layout, &why);
+      ASSERT_NE(scorer, nullptr) << why;
+      const std::size_t g_n = layout.n_points;
+      const std::size_t p_n = layout.point_cols.size();
+      Rng rng(11);
+      std::vector<double> shared(width), points(g_n * p_n), rows(g_n * width);
+      std::vector<double> masks(g_n), walked(g_n);
+      for (int set = 0; set < 1500; ++set) {
+        for (std::size_t j = 0; j < width; ++j) {
+          shared[j] = edge_value(rng, thresholds[j]);
+        }
+        for (std::size_t g = 0; g < g_n; ++g) {
+          double* row = rows.data() + g * width;
+          std::copy(shared.begin(), shared.end(), row);
+          for (std::size_t i = 0; i < layout.fixed_cols.size(); ++i) {
+            row[layout.fixed_cols[i]] =
+                layout.fixed_values[g * layout.fixed_cols.size() + i];
+          }
+          for (std::size_t i = 0; i < p_n; ++i) {
+            points[g * p_n + i] =
+                edge_value(rng, thresholds[layout.point_cols[i]]);
+            row[layout.point_cols[i]] = points[g * p_n + i];
+          }
+        }
+        scorer->score(shared, points, masks);
+        model->predict_grid(rows, g_n, walked);
+        ASSERT_TRUE(same_bytes(masks, walked)) << "row set " << set;
+      }
+    }
+  }
+}
+
+/// An xgboost model whose first tree is a right-leaning chain of
+/// `leaves` leaves splitting columns 0-2 (m, k, n), followed by a stump on
+/// column 3 (the thread count).
+std::unique_ptr<Regressor> chain_model(int leaves) {
+  JsonArray trees;
+  auto add_tree = [&](const std::vector<TreeNode>& nodes) {
+    JsonArray f, thr, val, l, r;
+    for (const TreeNode& node : nodes) {
+      f.emplace_back(node.feature);
+      thr.emplace_back(node.threshold);
+      val.emplace_back(node.value);
+      l.emplace_back(node.left);
+      r.emplace_back(node.right);
+    }
+    Json tree;
+    tree["feature"] = Json(std::move(f));
+    tree["threshold"] = Json(std::move(thr));
+    tree["value"] = Json(std::move(val));
+    tree["left"] = Json(std::move(l));
+    tree["right"] = Json(std::move(r));
+    trees.push_back(std::move(tree));
+  };
+  // Node 2i is split i: x <= threshold goes to its leaf, node 2i + 1, and
+  // the rest on to node 2i + 2, the next split or the last leaf.
+  std::vector<TreeNode> chain;
+  for (int i = 0; i + 1 < leaves; ++i) {
+    TreeNode split;
+    split.feature = i % 3;
+    split.threshold = 32.0 * (i + 1);
+    split.left = 2 * i + 1;
+    split.right = 2 * i + 2;
+    TreeNode leaf;
+    leaf.value = 0.01 * i;
+    chain.push_back(split);
+    chain.push_back(leaf);
+  }
+  TreeNode last;
+  last.value = -1.0;
+  chain.push_back(last);
+  add_tree(chain);
+  TreeNode stump;
+  stump.feature = 3;
+  stump.threshold = 2.5;
+  stump.left = 1;
+  stump.right = 2;
+  TreeNode lo, hi;
+  lo.value = 0.25;
+  hi.value = -0.125;
+  add_tree({stump, lo, hi});
+
+  Json blob;
+  blob["model"] = Json("xgboost");
+  blob["params"] = Json(JsonObject{});
+  blob["base_score"] = Json(0.5);
+  blob["trees"] = Json(std::move(trees));
+  return load_model(blob);
+}
+
+// 64 leaves fit the masks; one tree of 65 sends the model to the row path,
+// which gives the same answers.
+TEST(GridScorer, SixtyFiveLeafTreeFallsBackToTheRowPath) {
+  GridLayout layout;
+  layout.n_points = 4;
+  layout.fixed_cols = {3};
+  layout.fixed_values = {1.0, 2.0, 3.0, 4.0};
+  std::string why;
+  EXPECT_NE(chain_model(64)->grid_scorer(layout, &why), nullptr) << why;
+  EXPECT_EQ(chain_model(65)->grid_scorer(layout, &why), nullptr);
+  EXPECT_NE(why.find("more than 64 leaves"), std::string::npos) << why;
+
+  // Through the serving path: a pipeline over the m, k, n, n_threads
+  // columns (no transforms), so the chain reads raw dimensions.
+  Dataset raw(std::vector<std::string>{"m", "k", "n", "n_threads"});
+  Rng rng(3);
+  for (int s = 0; s < 60; ++s) {
+    const double m = static_cast<double>(rng.range(1, 2000));
+    const double k = static_cast<double>(rng.range(1, 2000));
+    const double n = static_cast<double>(rng.range(1, 2000));
+    for (const double t : {1.0, 2.0, 3.0, 4.0}) {
+      raw.add_row(std::vector<double>{m, k, n, t}, 1.0);
+    }
+  }
+  preprocess::PipelineConfig cfg;
+  cfg.yeo_johnson = false;
+  cfg.standardize = false;
+  cfg.lof = false;
+  cfg.corr_filter = false;
+  preprocess::Pipeline pipeline(cfg);
+  (void)pipeline.fit_transform(raw);
+  ASSERT_EQ(pipeline.kept_features().size(), 4u);
+  const std::vector<int> grid = {1, 2, 3, 4};
+  for (const int leaves : {64, 65}) {
+    const auto model = chain_model(leaves);
+    const core::GridEvaluator evaluator =
+        core::make_grid_evaluator(*model, pipeline, grid);
+    EXPECT_EQ(evaluator.masks != nullptr, leaves == 64)
+        << evaluator.rows_reason;
+    std::vector<double> served(4), rows(4);
+    for (int i = 0; i < 2000; ++i) {
+      const simarch::GemmShape shape{rng.range(1, 2200), rng.range(1, 2200),
+                                     rng.range(1, 2200), 4};
+      core::score_thread_grid(*model, pipeline, shape, grid,
+                              blas::OpKind::kGemm,
+                              blas::kernels::Variant::kAuto, &evaluator,
+                              served);
+      core::score_thread_grid(*model, pipeline, shape, grid,
+                              blas::OpKind::kGemm,
+                              blas::kernels::Variant::kAuto, nullptr, rows);
+      ASSERT_TRUE(same_bytes(served, rows)) << leaves << " leaves";
+    }
+  }
+}
+
+// The models outside the scope keep the row path and say why.
+TEST(GridScorer, OnlyBoostedModelsBuildOne) {
+  GridLayout layout;
+  layout.n_points = 2;
+  for (const char* name : {"decision_tree", "random_forest", "adaboost",
+                           "linear_regression", "knn"}) {
+    auto model = make_model(name, {{"n_estimators", 5}});
+    model->fit(make_gather_like(20, 5));
+    std::string why;
+    EXPECT_EQ(model->grid_scorer(layout, &why), nullptr) << name;
+    EXPECT_NE(why.find(name), std::string::npos) << why;
   }
 }
 

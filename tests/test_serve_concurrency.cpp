@@ -14,12 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "blas/op.h"
+#include "common/rng.h"
 #include "core/adsala.h"
 #include "core/executor.h"
 #include "core/gather.h"
@@ -328,6 +330,71 @@ TEST(ServeLifecycle, TrainInstallQueryRoundTrip) {
   const int after = rt.select_threads(512, 512, 512);
   EXPECT_EQ(before, after) << "identical training data -> identical model";
   EXPECT_EQ(rt.snapshot_version(), 2u);
+}
+
+// ------------------------------------------------- leaf-mask decisions
+
+/// The tiny platform over every op, trained with xgboost (no tuning): a
+/// model the snapshot scores from its leaf-mask tables.
+TrainOutput tiny_xgboost_train() {
+  SimulatedExecutor ex(simarch::MachineModel(simarch::tiny_topology(), 42));
+  GatherConfig cfg;
+  cfg.n_samples = 40;
+  cfg.iterations = 3;
+  const auto ops = blas::all_ops();
+  cfg.ops.assign(ops.begin(), ops.end());
+  cfg.domain.memory_cap_bytes = 64ull * 1024 * 1024;
+  cfg.domain.dim_max = 8000;
+  cfg.domain.seed = 7;
+  TrainOptions opts;
+  opts.candidates = {"xgboost"};
+  opts.tune = false;
+  return train_and_select(gather_timings(ex, cfg), opts);
+}
+
+TEST(ServeMasks, SnapshotDecisionsEqualTheRowPathArgmin) {
+  // Four threads each ask 12 500 keys of the snapshot, which scores memo
+  // misses from the leaf-mask tables, and check every answer against the
+  // argmin of predict_grid over the grid's rows. The keys cover every op,
+  // both element sizes, and dimensions above 65535, which bypass the memo.
+  AdsalaGemm rt(tiny_xgboost_train());
+  const auto snap = rt.snapshot();
+  ASSERT_NE(snap->evaluator, nullptr);
+  ASSERT_NE(snap->evaluator->masks, nullptr)
+      << snap->evaluator->rows_reason;
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 12500;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> unmemoised{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      Rng rng(900 + static_cast<std::uint64_t>(w));
+      auto dim = [&](bool huge) {
+        return huge ? rng.range(65536, 200000)
+                    : static_cast<long>(
+                          std::exp(rng.uniform(0.0, std::log(9000.0))));
+      };
+      for (int i = 0; i < kKeys; ++i) {
+        const blas::OpKind op =
+            blas::all_ops()[static_cast<std::size_t>(i) % blas::kNumOps];
+        const int elem = (i / blas::kNumOps) % 2 == 0 ? 4 : 8;
+        const bool huge = i % 16 == 0;
+        const long x = dim(huge), y = dim(false), z = dim(false);
+        const simarch::GemmShape shape =
+            op_traits(op).to_shape(x, y, z, elem);
+        if (MemoCache::pack_key(op, shape.m, shape.k, shape.n, elem) == 0) {
+          ++unmemoised;
+        }
+        const int expected = snap->thread_grid[predict_best_grid_index(
+            *snap->model, snap->pipeline, shape, snap->thread_grid, op)];
+        if (rt.select_threads(op, x, y, z, elem) != expected) ++mismatches;
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(unmemoised.load(), kThreads * kKeys / 20);
 }
 
 }  // namespace

@@ -104,6 +104,7 @@
 #include "core/resilient_client.h"
 #include "core/retune.h"
 #include "core/shm_store.h"
+#include "core/trainer.h"
 #include "preprocess/features.h"
 
 using namespace adsala;
@@ -499,6 +500,22 @@ int cmd_inspect(const Args& args) {
               pipe.at("keep").as_array().size(), names.size());
   std::printf("first-class : %s\n",
               first_class_ops(preprocess::resolve_columns(names)).c_str());
+  // What a process loading these artefacts answers memo misses with.
+  auto loaded = core::AdsalaGemm::try_load(args.dir + "/model.json",
+                                           args.dir + "/config.json");
+  if (!loaded.ok()) {
+    std::printf("evaluator   : none, a load serves the heuristic (%s)\n",
+                loaded.error().message.c_str());
+    return 0;
+  }
+  const core::GridEvaluator& evaluator = *loaded.value().snapshot()->evaluator;
+  if (evaluator.masks != nullptr) {
+    std::printf("evaluator   : masks (%.2f MB tables, built in %.2f ms)\n",
+                static_cast<double>(evaluator.masks->table_bytes()) / 1e6,
+                evaluator.build_ms);
+  } else {
+    std::printf("evaluator   : rows (%s)\n", evaluator.rows_reason.c_str());
+  }
   return 0;
 }
 
