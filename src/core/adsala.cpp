@@ -487,6 +487,27 @@ ServingMode AdsalaGemm::serving_mode(blas::OpKind op) const {
   return active()->mode_for(op);
 }
 
+void save_artefacts(const std::string& model_path,
+                    const std::string& config_path,
+                    const ml::Regressor& model, const std::string& model_name,
+                    const preprocess::Pipeline& pipeline,
+                    const std::vector<int>& thread_grid, int max_threads,
+                    const std::string& platform) {
+  Json model_blob = model.save();
+  model_blob["format"] = Json(kModelFormat);
+  write_json_file(model_path, model_blob);
+  Json config;
+  config["format"] = Json(kConfigFormat);
+  config["platform"] = Json(platform);
+  config["max_threads"] = Json(max_threads);
+  JsonArray grid;
+  for (int p : thread_grid) grid.emplace_back(p);
+  config["thread_grid"] = Json(std::move(grid));
+  config["pipeline"] = pipeline.save();
+  config["model_name"] = Json(model_name);
+  write_json_file(config_path, config);
+}
+
 void AdsalaGemm::save(const std::string& model_path,
                       const std::string& config_path) const {
   const ServingSnapshot* snap = active();
@@ -494,19 +515,9 @@ void AdsalaGemm::save(const std::string& model_path,
     throw std::logic_error(
         "AdsalaGemm::save: heuristic fallback has no artefacts to save");
   }
-  Json model_blob = snap->model->save();
-  model_blob["format"] = Json(kModelFormat);
-  write_json_file(model_path, model_blob);
-  Json config;
-  config["format"] = Json(kConfigFormat);
-  config["platform"] = Json(snap->platform);
-  config["max_threads"] = Json(snap->max_threads);
-  JsonArray grid;
-  for (int p : snap->thread_grid) grid.emplace_back(p);
-  config["thread_grid"] = Json(std::move(grid));
-  config["pipeline"] = snap->pipeline.save();
-  config["model_name"] = Json(snap->model_name);
-  write_json_file(config_path, config);
+  save_artefacts(model_path, config_path, *snap->model, snap->model_name,
+                 snap->pipeline, snap->thread_grid, snap->max_threads,
+                 snap->platform);
 }
 
 int AdsalaGemm::select_threads(blas::OpKind op, long x, long y, long z,

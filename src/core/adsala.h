@@ -81,6 +81,19 @@ struct TelemetrySampler {
   mutable std::atomic<std::uint64_t> dropped{0};
 };
 
+/// Writes the two installation artefacts: model_path gets model.save()
+/// (docs/PIPELINE.md §5) and config_path the serving configuration, each
+/// stamped with the format marker try_load validates ("adsala/model/v1",
+/// "adsala/config/v1"). install() writes a fresh training run through it,
+/// AdsalaGemm::save its active generation. Throws std::runtime_error on an
+/// I/O failure.
+void save_artefacts(const std::string& model_path,
+                    const std::string& config_path,
+                    const ml::Regressor& model, const std::string& model_name,
+                    const preprocess::Pipeline& pipeline,
+                    const std::vector<int>& thread_grid, int max_threads,
+                    const std::string& platform);
+
 class AdsalaGemm {
  public:
   /// One answer with the generation that produced it, so callers (the
@@ -299,9 +312,8 @@ class AdsalaGemm {
   const preprocess::Pipeline& pipeline() const { return active()->pipeline; }
   const std::string& model_name() const { return active()->model_name; }
 
-  /// Saves the two artefacts (model file + config file), stamped with the
-  /// format markers try_load validates ("adsala/model/v1",
-  /// "adsala/config/v1"). Requires a model (not the heuristic fallback).
+  /// Saves the active generation's two artefacts through save_artefacts.
+  /// Requires a model (not the heuristic fallback).
   void save(const std::string& model_path,
             const std::string& config_path) const;
 

@@ -52,18 +52,6 @@ InstallReport install(GemmExecutor& executor, const InstallOptions& options) {
     report.gathered.save_csv(options.output_dir + "/timings.csv");
   }
 
-  // Persist via a temporary runtime object so save format and load format
-  // cannot drift apart.
-  TrainOutput copy;
-  copy.selected = report.trained.selected;
-  copy.thread_grid = report.trained.thread_grid;
-  copy.max_threads = report.trained.max_threads;
-  copy.platform = report.trained.platform;
-  copy.pipeline = report.trained.pipeline;
-  // Reconstruct the fitted model through its own serialisation round-trip.
-  copy.model = ml::load_model(report.trained.model->save());
-  AdsalaGemm runtime(std::move(copy));
-
   // Save behind tmp names and verify *those*, so the real paths are only
   // ever touched by an atomic rename of already-validated bytes: a SIGKILL
   // at any instruction leaves the previous artefacts (or nothing) at the
@@ -72,10 +60,14 @@ InstallReport install(GemmExecutor& executor, const InstallOptions& options) {
   const std::string pid_tag = ".tmp." + std::to_string(::getpid());
   const std::string tmp_model = report.model_path + pid_tag;
   const std::string tmp_config = report.config_path + pid_tag;
-  runtime.save(tmp_model, tmp_config);
+  const TrainOutput& trained = report.trained;
+  save_artefacts(tmp_model, tmp_config, *trained.model, trained.selected,
+                 trained.pipeline, trained.thread_grid, trained.max_threads,
+                 trained.platform);
 
   // Write-then-verify: run the freshly written pair through the serving
-  // layer's full validation ladder before declaring the install done. A
+  // layer's full validation ladder before declaring the install done. This
+  // load is what keeps the save and load formats from drifting apart. A
   // failure here is an installer bug (or a dying disk), and catching it now
   // — with the taxonomy's path-qualified message — beats every future
   // process booting into heuristic fallback.

@@ -108,25 +108,14 @@ void AdaBoostR2::predict_grid(std::span<const double> rows,
   }
 }
 
-Json AdaBoostR2::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
+void AdaBoostR2::save_state(Json& out) const {
   JsonArray trees;
   for (const auto& tree : trees_) trees.push_back(tree.save());
   out["trees"] = Json(std::move(trees));
   out["beta_log"] = Json::from_doubles(beta_log_);
-  return out;
 }
 
-void AdaBoostR2::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
+void AdaBoostR2::load_state(const Json& blob) {
   trees_.clear();
   for (const auto& tj : blob.at("trees").as_array()) {
     DecisionTree tree;

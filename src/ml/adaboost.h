@@ -35,16 +35,13 @@ class AdaBoostR2 : public Regressor {
     seed_ = static_cast<std::uint64_t>(param_or(params, "seed", 13));
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<AdaBoostR2>(get_params());
-  }
-
   std::size_t n_trees() const { return trees_.size(); }
   const std::vector<double>& estimator_weights() const { return beta_log_; }
 
  private:
+  void save_state(Json& out) const override;
+  void load_state(const Json& blob) override;
+
   int n_estimators_ = 50;
   int max_depth_ = 4;
   double learning_rate_ = 1.0;

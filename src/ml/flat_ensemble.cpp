@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/json.h"
+
 namespace adsala::ml {
 
 namespace {
@@ -26,6 +28,49 @@ constexpr std::size_t kStackDoubles = 2048;
 }
 
 }  // namespace
+
+void save_nodes(std::span<const TreeNode> nodes, Json& out) {
+  JsonArray features, thresholds, values, lefts, rights;
+  for (const TreeNode& node : nodes) {
+    features.emplace_back(node.feature);
+    thresholds.emplace_back(node.threshold);
+    values.emplace_back(node.value);
+    lefts.emplace_back(node.left);
+    rights.emplace_back(node.right);
+  }
+  out["feature"] = Json(std::move(features));
+  out["threshold"] = Json(std::move(thresholds));
+  out["value"] = Json(std::move(values));
+  out["left"] = Json(std::move(lefts));
+  out["right"] = Json(std::move(rights));
+}
+
+std::vector<TreeNode> load_nodes(const Json& blob) {
+  const JsonArray& features = blob.at("feature").as_array();
+  const auto column = [&](const char* key) -> const JsonArray& {
+    const JsonArray& values = blob.at(key).as_array();
+    if (values.size() != features.size()) {
+      throw std::invalid_argument(
+          "tree node arrays differ in length: '" + std::string(key) +
+          "' has " + std::to_string(values.size()) +
+          " entries but 'feature' has " + std::to_string(features.size()));
+    }
+    return values;
+  };
+  const JsonArray& thresholds = column("threshold");
+  const JsonArray& values = column("value");
+  const JsonArray& lefts = column("left");
+  const JsonArray& rights = column("right");
+  std::vector<TreeNode> nodes(features.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    nodes[i].feature = features[i].as_int();
+    nodes[i].threshold = thresholds[i].as_number();
+    nodes[i].value = values[i].as_number();
+    nodes[i].left = lefts[i].as_int();
+    nodes[i].right = rights[i].as_int();
+  }
+  return nodes;
+}
 
 FlatEnsemble::FlatEnsemble(
     std::span<const std::span<const TreeNode>> trees) {

@@ -22,6 +22,10 @@
 #include <span>
 #include <vector>
 
+namespace adsala {
+class Json;
+}
+
 namespace adsala::ml {
 
 /// Flat node record; leaves have feature == -1 and carry `value`.
@@ -34,6 +38,14 @@ struct TreeNode {
 
   bool is_leaf() const { return feature < 0; }
 };
+
+/// A tree in the model file: five arrays "feature", "threshold", "value",
+/// "left" and "right", entry i of each describing node i (stored order,
+/// root at 0). save_nodes adds them to `out`; load_nodes reads them back
+/// and throws std::invalid_argument, naming the array, when their lengths
+/// differ. Child indices are checked when the nodes compile (FlatEnsemble).
+void save_nodes(std::span<const TreeNode> nodes, Json& out);
+std::vector<TreeNode> load_nodes(const Json& blob);
 
 class FlatEnsemble {
  public:

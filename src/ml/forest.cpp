@@ -54,24 +54,13 @@ void RandomForest::predict_grid(std::span<const double> rows,
   }
 }
 
-Json RandomForest::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
+void RandomForest::save_state(Json& out) const {
   JsonArray trees;
   for (const auto& tree : trees_) trees.push_back(tree.save());
   out["trees"] = Json(std::move(trees));
-  return out;
 }
 
-void RandomForest::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
+void RandomForest::load_state(const Json& blob) {
   trees_.clear();
   for (const auto& tj : blob.at("trees").as_array()) {
     DecisionTree tree;

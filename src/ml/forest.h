@@ -37,15 +37,12 @@ class RandomForest : public Regressor {
     seed_ = static_cast<std::uint64_t>(param_or(params, "seed", 11));
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<RandomForest>(get_params());
-  }
-
   std::size_t n_trees() const { return trees_.size(); }
 
  private:
+  void save_state(Json& out) const override;
+  void load_state(const Json& blob) override;
+
   int n_estimators_ = 100;
   int max_depth_ = 16;
   int min_samples_leaf_ = 1;

@@ -184,71 +184,39 @@ void XgbRegressor::fit(const Dataset& data) {
   flat_ = FlatEnsemble(trees_);
 }
 
-double XgbRegressor::predict_one(std::span<const double> x) const {
+double BoostedTrees::predict_one(std::span<const double> x) const {
   double out = 0.0;
   predict_grid(x, 1, {&out, 1});
   return out;
 }
 
-void XgbRegressor::predict_grid(std::span<const double> rows,
+void BoostedTrees::predict_grid(std::span<const double> rows,
                                 std::size_t n_rows,
                                 std::span<double> out) const {
   flat_.sum(rows, n_rows, base_score_, out);
 }
 
-std::shared_ptr<const GridScorer> XgbRegressor::grid_scorer(
+std::shared_ptr<const GridScorer> BoostedTrees::grid_scorer(
     const GridLayout& layout, std::string* why_not) const {
   return GridScorer::build(trees_, base_score_, layout, why_not);
 }
 
-Json XgbRegressor::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
+void BoostedTrees::save_state(Json& out) const {
   out["base_score"] = Json(base_score_);
   JsonArray trees;
   for (const auto& nodes : trees_) {
-    JsonArray features, thresholds, values, lefts, rights;
-    for (const auto& node : nodes) {
-      features.emplace_back(node.feature);
-      thresholds.emplace_back(node.threshold);
-      values.emplace_back(node.value);
-      lefts.emplace_back(node.left);
-      rights.emplace_back(node.right);
-    }
-    Json tj;
-    tj["feature"] = Json(std::move(features));
-    tj["threshold"] = Json(std::move(thresholds));
-    tj["value"] = Json(std::move(values));
-    tj["left"] = Json(std::move(lefts));
-    tj["right"] = Json(std::move(rights));
-    trees.push_back(std::move(tj));
+    Json tree;
+    save_nodes(nodes, tree);
+    trees.push_back(std::move(tree));
   }
   out["trees"] = Json(std::move(trees));
-  return out;
 }
 
-void XgbRegressor::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
+void BoostedTrees::load_state(const Json& blob) {
   base_score_ = blob.at("base_score").as_number();
   trees_.clear();
-  for (const auto& tj : blob.at("trees").as_array()) {
-    const auto& features = tj.at("feature").as_array();
-    std::vector<TreeNode> nodes(features.size());
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      nodes[i].feature = features[i].as_int();
-      nodes[i].threshold = tj.at("threshold").as_array()[i].as_number();
-      nodes[i].value = tj.at("value").as_array()[i].as_number();
-      nodes[i].left = tj.at("left").as_array()[i].as_int();
-      nodes[i].right = tj.at("right").as_array()[i].as_int();
-    }
-    trees_.push_back(std::move(nodes));
+  for (const auto& tree : blob.at("trees").as_array()) {
+    trees_.push_back(load_nodes(tree));
   }
   flat_ = FlatEnsemble(trees_);
 }

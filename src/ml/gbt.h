@@ -21,17 +21,40 @@
 
 namespace adsala::ml {
 
-class XgbRegressor : public Regressor {
+/// The fitted state of both boosted-tree models (XgbRegressor and
+/// LightGbmRegressor, ml/hist_gbt.h): a base score plus trees whose leaf
+/// values are already shrunk by the learning rate and whose thresholds are
+/// in feature-value space. A prediction is base_score + the leaves, added
+/// in tree order; the trees compile into one FlatEnsemble for rows and
+/// into leaf-mask tables for thread grids (ml/grid_scorer.h). The model
+/// file holds "base_score" and "trees", one node-array object per tree
+/// (save_nodes, ml/flat_ensemble.h).
+class BoostedTrees : public Regressor {
  public:
-  explicit XgbRegressor(Params params = {}) { set_params(params); }
-
-  void fit(const Dataset& data) override;
   double predict_one(std::span<const double> x) const override;
   void predict_grid(std::span<const double> rows, std::size_t n_rows,
                     std::span<double> out) const override;
   std::size_t input_width() const override { return flat_.input_width(); }
   std::shared_ptr<const GridScorer> grid_scorer(
       const GridLayout& layout, std::string* why_not) const override;
+
+  std::size_t n_trees() const { return trees_.size(); }
+  double base_score() const { return base_score_; }
+
+ protected:
+  void save_state(Json& out) const override;
+  void load_state(const Json& blob) override;
+
+  double base_score_ = 0.0;
+  std::vector<std::vector<TreeNode>> trees_;
+  FlatEnsemble flat_;  ///< trees_ compiled for prediction
+};
+
+class XgbRegressor : public BoostedTrees {
+ public:
+  explicit XgbRegressor(Params params = {}) { set_params(params); }
+
+  void fit(const Dataset& data) override;
   std::string name() const override { return "xgboost"; }
 
   Params get_params() const override {
@@ -57,15 +80,6 @@ class XgbRegressor : public Regressor {
     seed_ = static_cast<std::uint64_t>(param_or(params, "seed", 17));
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<XgbRegressor>(get_params());
-  }
-
-  std::size_t n_trees() const { return trees_.size(); }
-  double base_score() const { return base_score_; }
-
  private:
   int n_estimators_ = 200;
   int max_depth_ = 6;
@@ -76,10 +90,6 @@ class XgbRegressor : public Regressor {
   double subsample_ = 1.0;
   double colsample_ = 1.0;
   std::uint64_t seed_ = 17;
-
-  double base_score_ = 0.0;
-  std::vector<std::vector<TreeNode>> trees_;  ///< leaf values pre-shrunk
-  FlatEnsemble flat_;  ///< trees_ compiled for prediction
 };
 
 }  // namespace adsala::ml

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/thread_pool.h"
-#include "ml/grid_scorer.h"
 
 namespace adsala::ml {
 
@@ -214,75 +213,6 @@ void LightGbmRegressor::fit(const Dataset& data) {
 
     FlatEnsemble({&nodes, 1}).leaves(data.flat(), n, round_pred);
     for (std::size_t i = 0; i < n; ++i) pred[i] += round_pred[i];
-    trees_.push_back(std::move(nodes));
-  }
-  flat_ = FlatEnsemble(trees_);
-}
-
-double LightGbmRegressor::predict_one(std::span<const double> x) const {
-  double out = 0.0;
-  predict_grid(x, 1, {&out, 1});
-  return out;
-}
-
-void LightGbmRegressor::predict_grid(std::span<const double> rows,
-                                     std::size_t n_rows,
-                                     std::span<double> out) const {
-  flat_.sum(rows, n_rows, base_score_, out);
-}
-
-std::shared_ptr<const GridScorer> LightGbmRegressor::grid_scorer(
-    const GridLayout& layout, std::string* why_not) const {
-  return GridScorer::build(trees_, base_score_, layout, why_not);
-}
-
-Json LightGbmRegressor::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
-  out["base_score"] = Json(base_score_);
-  JsonArray trees;
-  for (const auto& nodes : trees_) {
-    JsonArray features, thresholds, values, lefts, rights;
-    for (const auto& node : nodes) {
-      features.emplace_back(node.feature);
-      thresholds.emplace_back(node.threshold);
-      values.emplace_back(node.value);
-      lefts.emplace_back(node.left);
-      rights.emplace_back(node.right);
-    }
-    Json tj;
-    tj["feature"] = Json(std::move(features));
-    tj["threshold"] = Json(std::move(thresholds));
-    tj["value"] = Json(std::move(values));
-    tj["left"] = Json(std::move(lefts));
-    tj["right"] = Json(std::move(rights));
-    trees.push_back(std::move(tj));
-  }
-  out["trees"] = Json(std::move(trees));
-  return out;
-}
-
-void LightGbmRegressor::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
-  base_score_ = blob.at("base_score").as_number();
-  trees_.clear();
-  for (const auto& tj : blob.at("trees").as_array()) {
-    const auto& features = tj.at("feature").as_array();
-    std::vector<TreeNode> nodes(features.size());
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      nodes[i].feature = features[i].as_int();
-      nodes[i].threshold = tj.at("threshold").as_array()[i].as_number();
-      nodes[i].value = tj.at("value").as_array()[i].as_number();
-      nodes[i].left = tj.at("left").as_array()[i].as_int();
-      nodes[i].right = tj.at("right").as_array()[i].as_int();
-    }
     trees_.push_back(std::move(nodes));
   }
   flat_ = FlatEnsemble(trees_);

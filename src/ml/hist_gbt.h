@@ -9,22 +9,15 @@
 
 #include <cstdint>
 
-#include "ml/model.h"
-#include "ml/tree.h"
+#include "ml/gbt.h"
 
 namespace adsala::ml {
 
-class LightGbmRegressor : public Regressor {
+class LightGbmRegressor : public BoostedTrees {
  public:
   explicit LightGbmRegressor(Params params = {}) { set_params(params); }
 
   void fit(const Dataset& data) override;
-  double predict_one(std::span<const double> x) const override;
-  void predict_grid(std::span<const double> rows, std::size_t n_rows,
-                    std::span<double> out) const override;
-  std::size_t input_width() const override { return flat_.input_width(); }
-  std::shared_ptr<const GridScorer> grid_scorer(
-      const GridLayout& layout, std::string* why_not) const override;
   std::string name() const override { return "lightgbm"; }
 
   Params get_params() const override {
@@ -47,14 +40,6 @@ class LightGbmRegressor : public Regressor {
     seed_ = static_cast<std::uint64_t>(param_or(params, "seed", 19));
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<LightGbmRegressor>(get_params());
-  }
-
-  std::size_t n_trees() const { return trees_.size(); }
-
  private:
   int n_estimators_ = 200;
   int num_leaves_ = 31;
@@ -63,10 +48,6 @@ class LightGbmRegressor : public Regressor {
   int min_child_samples_ = 5;
   int max_bins_ = 64;
   std::uint64_t seed_ = 19;
-
-  double base_score_ = 0.0;
-  std::vector<std::vector<TreeNode>> trees_;  ///< thresholds in value space
-  FlatEnsemble flat_;  ///< trees_ compiled for prediction
 };
 
 }  // namespace adsala::ml

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/thread_pool.h"
 
@@ -57,27 +59,27 @@ double KnnRegressor::predict_one(std::span<const double> x) const {
   return num / den;
 }
 
-Json KnnRegressor::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
+void KnnRegressor::save_state(Json& out) const {
   out["d"] = Json(d_);
   out["x"] = Json::from_doubles(x_);
   out["y"] = Json::from_doubles(y_);
-  return out;
 }
 
-void KnnRegressor::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
+void KnnRegressor::load_state(const Json& blob) {
+  if (k_ < 1) throw std::invalid_argument("knn: k must be at least 1");
   d_ = static_cast<std::size_t>(blob.at("d").as_number());
   x_ = blob.at("x").to_doubles();
   y_ = blob.at("y").to_doubles();
+  // x.size() == d * y.size(), without the product (d is read from the file).
+  const bool consistent = y_.empty() ? x_.empty()
+                                     : x_.size() % y_.size() == 0 &&
+                                           x_.size() / y_.size() == d_;
+  if (!consistent) {
+    throw std::invalid_argument(
+        "knn: 'x' holds " + std::to_string(x_.size()) + " values, not d (" +
+        std::to_string(d_) + ") per 'y' row (" + std::to_string(y_.size()) +
+        ")");
+  }
 }
 
 }  // namespace adsala::ml

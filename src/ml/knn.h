@@ -17,6 +17,7 @@ class KnnRegressor : public Regressor {
 
   void fit(const Dataset& data) override;
   double predict_one(std::span<const double> x) const override;
+  std::size_t input_width() const override { return d_; }
   std::string name() const override { return "knn"; }
 
   Params get_params() const override {
@@ -28,13 +29,10 @@ class KnnRegressor : public Regressor {
     distance_weighted_ = param_or(params, "distance_weighted", 0.0) != 0.0;
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<KnnRegressor>(get_params());
-  }
-
  private:
+  void save_state(Json& out) const override;
+  void load_state(const Json& blob) override;
+
   int k_ = 5;
   bool distance_weighted_ = false;
   std::size_t d_ = 0;

@@ -57,37 +57,24 @@ void gram(const Centred& c, std::size_t n, std::size_t d,
   }
 }
 
-double dot_coef(std::span<const double> x, const std::vector<double>& coef,
-                double intercept) {
-  double acc = intercept;
-  const std::size_t d = std::min(x.size(), coef.size());
-  for (std::size_t j = 0; j < d; ++j) acc += coef[j] * x[j];
+}  // namespace
+
+double LinearModel::predict_one(std::span<const double> x) const {
+  double acc = intercept_;
+  const std::size_t d = std::min(x.size(), coef_.size());
+  for (std::size_t j = 0; j < d; ++j) acc += coef_[j] * x[j];
   return acc;
 }
 
-Json linear_state(const std::vector<double>& coef, double intercept,
-                  const std::string& model_name, const Params& params) {
-  Json out;
-  out["model"] = Json(model_name);
-  out["coef"] = Json::from_doubles(coef);
-  out["intercept"] = Json(intercept);
-  JsonObject pj;
-  for (const auto& [k, v] : params) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
-  return out;
+void LinearModel::save_state(Json& out) const {
+  out["coef"] = Json::from_doubles(coef_);
+  out["intercept"] = Json(intercept_);
 }
 
-Params params_from_json(const Json& blob) {
-  Params p;
-  if (blob.contains("params")) {
-    for (const auto& [k, v] : blob.at("params").as_object()) {
-      p[k] = v.as_number();
-    }
-  }
-  return p;
+void LinearModel::load_state(const Json& blob) {
+  coef_ = blob.at("coef").to_doubles();
+  intercept_ = blob.at("intercept").as_number();
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------- Linear --
 
@@ -104,20 +91,6 @@ void LinearRegression::fit(const Dataset& data) {
   coef_ = solve_spd(std::move(xtx), d, std::move(xty));
   intercept_ = c.y_mean;
   for (std::size_t j = 0; j < d; ++j) intercept_ -= coef_[j] * c.x_mean[j];
-}
-
-double LinearRegression::predict_one(std::span<const double> x) const {
-  return dot_coef(x, coef_, intercept_);
-}
-
-Json LinearRegression::save() const {
-  return linear_state(coef_, intercept_, name(), get_params());
-}
-
-void LinearRegression::load(const Json& blob) {
-  set_params(params_from_json(blob));
-  coef_ = blob.at("coef").to_doubles();
-  intercept_ = blob.at("intercept").as_number();
 }
 
 // ------------------------------------------------------------ ElasticNet --
@@ -169,20 +142,6 @@ void ElasticNet::fit(const Dataset& data) {
 
   intercept_ = c.y_mean;
   for (std::size_t j = 0; j < d; ++j) intercept_ -= coef_[j] * c.x_mean[j];
-}
-
-double ElasticNet::predict_one(std::span<const double> x) const {
-  return dot_coef(x, coef_, intercept_);
-}
-
-Json ElasticNet::save() const {
-  return linear_state(coef_, intercept_, name(), get_params());
-}
-
-void ElasticNet::load(const Json& blob) {
-  set_params(params_from_json(blob));
-  coef_ = blob.at("coef").to_doubles();
-  intercept_ = blob.at("intercept").as_number();
 }
 
 // --------------------------------------------------------- BayesianRidge --
@@ -264,21 +223,14 @@ void BayesianRidge::fit(const Dataset& data) {
   for (std::size_t j = 0; j < d; ++j) intercept_ -= coef_[j] * c.x_mean[j];
 }
 
-double BayesianRidge::predict_one(std::span<const double> x) const {
-  return dot_coef(x, coef_, intercept_);
-}
-
-Json BayesianRidge::save() const {
-  Json out = linear_state(coef_, intercept_, name(), get_params());
+void BayesianRidge::save_state(Json& out) const {
+  LinearModel::save_state(out);
   out["alpha_precision"] = Json(alpha_precision_);
   out["lambda_precision"] = Json(lambda_precision_);
-  return out;
 }
 
-void BayesianRidge::load(const Json& blob) {
-  set_params(params_from_json(blob));
-  coef_ = blob.at("coef").to_doubles();
-  intercept_ = blob.at("intercept").as_number();
+void BayesianRidge::load_state(const Json& blob) {
+  LinearModel::load_state(blob);
   if (blob.contains("alpha_precision")) {
     alpha_precision_ = blob.at("alpha_precision").as_number();
     lambda_precision_ = blob.at("lambda_precision").as_number();

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "ml/grid_scorer.h"
+#include "ml/registry.h"
 
 namespace adsala::ml {
 
@@ -25,6 +26,34 @@ std::vector<double> Regressor::predict(const Dataset& data) const {
   std::vector<double> out(data.size());
   predict_grid(data.flat(), data.size(), out);
   return out;
+}
+
+Json Regressor::save() const {
+  Json out;
+  out["model"] = Json(name());
+  JsonObject params;
+  for (const auto& [key, value] : get_params()) params[key] = Json(value);
+  out["params"] = Json(std::move(params));
+  save_state(out);
+  return out;
+}
+
+void Regressor::load(const Json& blob) {
+  if (blob.at("model").as_string() != name()) {
+    throw std::invalid_argument("model blob is a '" +
+                                blob.at("model").as_string() + "', not a '" +
+                                name() + "'");
+  }
+  Params params;
+  for (const auto& [key, value] : blob.at("params").as_object()) {
+    params[key] = value.as_number();
+  }
+  set_params(params);
+  load_state(blob);
+}
+
+std::unique_ptr<Regressor> Regressor::clone() const {
+  return make_model(name(), get_params());
 }
 
 void Regressor::check_fit_input(const Dataset& data) {

@@ -4,6 +4,12 @@
 // fit on the preprocessed training set, predict fast at GEMM runtime, and
 // serialise to the installation-produced model file. Hyper-parameters are a
 // flat string->double map so GridSearchCV can sweep any model uniformly.
+//
+// The model file has one frame for every model: save() writes the registry
+// name under "model" and get_params() under "params", then the model's own
+// save_state() adds its fitted state beside them. load() reads the same
+// frame back and hands the blob to load_state(). A model therefore writes
+// and reads only its state; clone() is make_model(name(), get_params()).
 #pragma once
 
 #include <map>
@@ -50,10 +56,11 @@ class Regressor {
   /// Batch prediction over a dataset, through predict_grid.
   std::vector<double> predict(const Dataset& data) const;
 
-  /// Columns a fitted model reads: its highest feature index + 1, or 0 when
-  /// it does not track one (the non-tree models). Rows narrower than this
-  /// are refused.
-  virtual std::size_t input_width() const { return 0; }
+  /// Columns a fitted model reads, or 0 when unfitted: the highest split
+  /// feature + 1 for the tree models, the coefficient count for the linear
+  /// ones, the training row width for kNN. Rows narrower than this are
+  /// refused.
+  virtual std::size_t input_width() const = 0;
 
   virtual std::string name() const = 0;
 
@@ -61,14 +68,26 @@ class Regressor {
   /// Unknown keys are ignored so one grid can drive several models.
   virtual void set_params(const Params& params) = 0;
 
-  /// Serialises the *fitted* state (plus hyper-parameters).
-  virtual Json save() const = 0;
-  virtual void load(const Json& blob) = 0;
+  /// Serialises the fitted model: {"model": name(), "params": get_params()}
+  /// plus the keys save_state() adds.
+  Json save() const;
+  /// Restores a save() blob in place. Throws (std::invalid_argument,
+  /// std::out_of_range or std::bad_variant_access) when "model" is not
+  /// name(), "params" is missing or not numeric, or load_state() rejects
+  /// the state; the serving loader reports any of them as a validation
+  /// error.
+  void load(const Json& blob);
 
   /// Fresh unfitted copy carrying the same hyper-parameters.
-  virtual std::unique_ptr<Regressor> clone() const = 0;
+  std::unique_ptr<Regressor> clone() const;
 
  protected:
+  /// Adds the fitted state to a blob that already holds "model" and
+  /// "params"; load_state() reads it back after set_params() has run, and
+  /// throws on a state it cannot serve.
+  virtual void save_state(Json& out) const = 0;
+  virtual void load_state(const Json& blob) = 0;
+
   static void check_fit_input(const Dataset& data);
   static double param_or(const Params& p, const std::string& key,
                          double fallback);

@@ -69,32 +69,4 @@ void SvrRegressor::fit(const Dataset& data) {
   }
 }
 
-double SvrRegressor::predict_one(std::span<const double> x) const {
-  double acc = intercept_;
-  const std::size_t d = std::min(x.size(), coef_.size());
-  for (std::size_t j = 0; j < d; ++j) acc += coef_[j] * x[j];
-  return acc;
-}
-
-Json SvrRegressor::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
-  out["coef"] = Json::from_doubles(coef_);
-  out["intercept"] = Json(intercept_);
-  return out;
-}
-
-void SvrRegressor::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
-  coef_ = blob.at("coef").to_doubles();
-  intercept_ = blob.at("intercept").as_number();
-}
-
 }  // namespace adsala::ml

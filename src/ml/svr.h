@@ -8,16 +8,15 @@
 //   C * sum_i max(0, |w.x_i + b - y_i| - epsilon) + 0.5 ||w||^2.
 #pragma once
 
-#include "ml/model.h"
+#include "ml/linear.h"
 
 namespace adsala::ml {
 
-class SvrRegressor : public Regressor {
+class SvrRegressor : public LinearModel {
  public:
   explicit SvrRegressor(Params params = {}) { set_params(params); }
 
   void fit(const Dataset& data) override;
-  double predict_one(std::span<const double> x) const override;
   std::string name() const override { return "svr"; }
 
   Params get_params() const override {
@@ -33,22 +32,11 @@ class SvrRegressor : public Regressor {
     seed_ = static_cast<std::uint64_t>(param_or(params, "seed", 23));
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<SvrRegressor>(get_params());
-  }
-
-  const std::vector<double>& coefficients() const { return coef_; }
-  double intercept() const { return intercept_; }
-
  private:
   double c_ = 1.0;
   double epsilon_ = 0.1;
   int epochs_ = 60;
   std::uint64_t seed_ = 23;
-  std::vector<double> coef_;
-  double intercept_ = 0.0;
 };
 
 }  // namespace adsala::ml

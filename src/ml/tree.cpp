@@ -233,43 +233,10 @@ std::size_t DecisionTree::depth() const {
   return max_depth;
 }
 
-Json DecisionTree::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
-  JsonArray features, thresholds, values, lefts, rights;
-  for (const auto& node : nodes_) {
-    features.emplace_back(node.feature);
-    thresholds.emplace_back(node.threshold);
-    values.emplace_back(node.value);
-    lefts.emplace_back(node.left);
-    rights.emplace_back(node.right);
-  }
-  out["feature"] = Json(std::move(features));
-  out["threshold"] = Json(std::move(thresholds));
-  out["value"] = Json(std::move(values));
-  out["left"] = Json(std::move(lefts));
-  out["right"] = Json(std::move(rights));
-  return out;
-}
+void DecisionTree::save_state(Json& out) const { save_nodes(nodes_, out); }
 
-void DecisionTree::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
-  const auto& features = blob.at("feature").as_array();
-  nodes_.assign(features.size(), TreeNode{});
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    nodes_[i].feature = features[i].as_int();
-    nodes_[i].threshold = blob.at("threshold").as_array()[i].as_number();
-    nodes_[i].value = blob.at("value").as_array()[i].as_number();
-    nodes_[i].left = blob.at("left").as_array()[i].as_int();
-    nodes_[i].right = blob.at("right").as_array()[i].as_int();
-  }
+void DecisionTree::load_state(const Json& blob) {
+  nodes_ = load_nodes(blob);
   flat_ = compile_trees({this, 1});
 }
 

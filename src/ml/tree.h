@@ -57,16 +57,12 @@ class DecisionTree : public Regressor {
     seed_ = static_cast<std::uint64_t>(param_or(params, "seed", 7));
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<DecisionTree>(get_params());
-  }
-
   const std::vector<TreeNode>& nodes() const { return nodes_; }
   std::size_t depth() const;  ///< actual depth of the fitted tree
 
  private:
+  void save_state(Json& out) const override;
+  void load_state(const Json& blob) override;
 
   int max_depth_ = 12;
   int min_samples_split_ = 2;

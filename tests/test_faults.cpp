@@ -310,6 +310,33 @@ TEST_F(ArtefactCorpus, RepeatedFeatureNameRejected) {
       << result.error().message;
 }
 
+TEST_F(ArtefactCorpus, ShortTreeNodeArrayRejected) {
+  // The committed tiny artefacts hold a decision tree: five node arrays of
+  // one length. An emptied or shortened 'threshold' must be refused by
+  // name, not read past.
+  const std::string tiny = ADSALA_TINY_ARTIFACTS_DIR;
+  for (const std::size_t keep : {std::size_t{0}, std::size_t{5}}) {
+    const std::string dir = *dir_ + "/short_threshold_" + std::to_string(keep);
+    std::filesystem::create_directories(dir);
+    for (const char* file : {"/model.json", "/config.json"}) {
+      std::filesystem::copy_file(
+          tiny + file, dir + file,
+          std::filesystem::copy_options::overwrite_existing);
+    }
+    rewrite_json(dir + "/model.json", [keep](Json& doc) {
+      JsonArray& thresholds = doc["threshold"].as_array();
+      ASSERT_GT(thresholds.size(), keep);
+      thresholds.resize(keep);
+    });
+    const auto result =
+        AdsalaGemm::try_load(dir + "/model.json", dir + "/config.json");
+    ASSERT_FALSE(result.ok()) << keep;
+    EXPECT_EQ(result.error().code, ErrorCode::kValidationError) << keep;
+    EXPECT_NE(result.error().message.find("'threshold'"), std::string::npos)
+        << result.error().message;
+  }
+}
+
 TEST_F(ArtefactCorpus, ShortPerColumnArrayRejected) {
   // Each per-column array must have one entry per feature_names column;
   // a short one would be read past its end at every query.

@@ -196,6 +196,24 @@ TEST(Xgboost, SaveLoadRoundTrip) {
   }
 }
 
+// Every boosted tree is five parallel node arrays; one short array must be
+// refused at load, not read past.
+TEST(Xgboost, ShortNodeArrayIsRejectedAtLoad) {
+  XgbRegressor model({{"n_estimators", 3}});
+  model.fit(make_surface(100, 21));
+  Json blob = model.save();
+  JsonArray& left = blob["trees"].as_array()[1]["left"].as_array();
+  ASSERT_GT(left.size(), 1u);
+  left.pop_back();
+  try {
+    load_model(blob);
+    ADD_FAILURE() << "a short 'left' array loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'left'"), std::string::npos)
+        << e.what();
+  }
+}
+
 // --------------------------------------------------------------- LightGBM
 
 TEST(LightGbm, LearnsNonLinearSurface) {
@@ -446,6 +464,7 @@ TEST(TreeBuilders, SavedModelsAreByteIdenticalToPerNodeSorting) {
                           {"colsample", 0.5},
                           {"min_child_weight", 3},
                           {"gamma", 0.01}})},
+      {"lightgbm", fitted("lightgbm", {{"n_estimators", 60}})},
   };
   const std::uint64_t expected[] = {
       0x1bde83194b35a7c6ull,  // decision_tree
@@ -455,6 +474,7 @@ TEST(TreeBuilders, SavedModelsAreByteIdenticalToPerNodeSorting) {
       0xbbeab0414c1b0028ull,  // adaboost
       0x04c8278392d89acaull,  // xgboost
       0x52a480cd9219e17eull,  // xgboost subsampled
+      0x2e90c423c95ed46dull,  // lightgbm
   };
   for (std::size_t i = 0; i < std::size(dumps); ++i) {
     EXPECT_EQ(fnv1a(dumps[i].second), expected[i])

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "ml/dataset.h"
@@ -204,6 +206,22 @@ TEST(Knn, SaveLoadRoundTrip) {
                    model.predict_one(std::vector<double>{0.3}));
 }
 
+// A blob whose rows do not fill d columns each would send predict_one past
+// the stored rows; load refuses it, and a k below 1, instead.
+TEST(Knn, InconsistentBlobIsRejectedAtLoad) {
+  const Json bad = Json::parse(
+      R"({"model":"knn","params":{"k":3},"d":4,"x":[1,2],"y":[1,2,3]})");
+  EXPECT_THROW(load_model(bad), std::invalid_argument);
+  const Json zero_k = Json::parse(
+      R"({"model":"knn","params":{"k":0},"d":1,"x":[1,2],"y":[1,2]})");
+  EXPECT_THROW(load_model(zero_k), std::invalid_argument);
+  const Json good = Json::parse(
+      R"({"model":"knn","params":{"k":1},"d":2,"x":[1,2,3,4],"y":[5,6]})");
+  const auto model = load_model(good);
+  EXPECT_EQ(model->input_width(), 2u);
+  EXPECT_DOUBLE_EQ(model->predict_one(std::vector<double>{3.0, 4.0}), 6.0);
+}
+
 // ------------------------------------------------------------- Grid search
 
 TEST(GridSearch, ExpandGridCartesianProduct) {
@@ -271,7 +289,37 @@ TEST(Registry, UnknownNameThrows) {
 TEST(Registry, CloneCarriesParams) {
   auto model = make_model("decision_tree", {{"max_depth", 3}});
   auto copy = model->clone();
+  EXPECT_EQ(copy->name(), "decision_tree");
   EXPECT_DOUBLE_EQ(copy->get_params().at("max_depth"), 3.0);
+}
+
+// golden_models.jsonl holds one small fitted blob per model, one per line,
+// as save() wrote them before the models shared one model-file frame. A
+// load and a save must give those bytes back exactly; no fit runs, so the
+// check holds on any compiler.
+TEST(Registry, GoldenBlobsSurviveLoadAndSaveByteForByte) {
+  std::ifstream in(ADSALA_GOLDEN_MODELS);
+  ASSERT_TRUE(in) << ADSALA_GOLDEN_MODELS;
+  std::set<std::string> seen;
+  for (std::string line; std::getline(in, line);) {
+    const Json blob = Json::parse(line);
+    const std::string name = blob.at("model").as_string();
+    EXPECT_EQ(load_model(blob)->save().dump(), line) << name;
+    seen.insert(name);
+  }
+  const std::vector<std::string> names = model_names();
+  EXPECT_EQ(seen, std::set<std::string>(names.begin(), names.end()));
+}
+
+TEST(Registry, LoadRefusesAnotherModelsBlobAndMissingParams) {
+  const auto tree = make_model("decision_tree");
+  Json blob = tree->save();
+  blob["model"] = Json("xgboost");
+  EXPECT_THROW(tree->load(blob), std::invalid_argument);
+  const auto linear = make_model("linear_regression");
+  Json no_params = linear->save();
+  no_params.as_object().erase("params");
+  EXPECT_THROW(load_model(no_params), std::out_of_range);
 }
 
 }  // namespace
