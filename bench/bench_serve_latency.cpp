@@ -12,9 +12,16 @@
 //             the old single-entry memo thrashed on any alternation)
 //   stream  : a fresh shape every call       -> memo miss, full model argmin
 //
-// Three daemon-transport regimes against a real in-process serve() loop on
+// Five daemon-transport regimes against a real in-process serve() loop on
 // a Unix socket:
 //   raw_daemon_query       : daemon::query per call (connect + frame + ack)
+//   two_client_daemon_query: two threads running that loop at once, ns per
+//                            query; the serve loop is single-threaded, so
+//                            whatever it spends per connection (answering or
+//                            waiting on a client) is serial for both
+//   reattach_daemon_query  : the raw loop against a daemon started with
+//                            reattach_shm, which probes a published shm
+//                            region for a new generation on every connection
 //   resilient_daemon_query : the same round-trip through ResilientClient's
 //                            happy path — the retry/breaker wrapper's
 //                            overhead on a healthy daemon
@@ -36,6 +43,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "adsala_daemon.h"
@@ -44,6 +53,7 @@
 #include "core/executor.h"
 #include "core/gather.h"
 #include "core/resilient_client.h"
+#include "core/shm_store.h"
 #include "core/telemetry_log.h"
 #include "core/trainer.h"
 
@@ -65,6 +75,48 @@ core::AdsalaGemm make_runtime() {
   opts.tune = false;
   return core::AdsalaGemm(
       core::train_and_select(core::gather_timings(ex, cfg), opts));
+}
+
+/// daemon::serve on its own thread for the object's lifetime.
+class BenchDaemon {
+ public:
+  BenchDaemon(core::AdsalaGemm& runtime, std::string socket,
+              std::string reattach_shm = "")
+      : socket_(std::move(socket)) {
+    std::filesystem::remove(socket_);
+    daemon::ServeOptions opts;
+    opts.socket_path = socket_;
+    opts.handle_signals = false;  // in-process server: leave signals alone
+    opts.stop = &stop_;
+    opts.reattach_shm = std::move(reattach_shm);
+    thread_ = std::thread(
+        [&runtime, opts] { (void)daemon::serve(runtime, opts); });
+    for (int i = 0; i < 500 && !std::filesystem::exists(socket_); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  ~BenchDaemon() {
+    stop_.store(true, std::memory_order_release);
+    daemon::Request wake;
+    wake.x = wake.y = wake.z = 64;
+    (void)daemon::query(socket_, wake, 500);  // wake the accept loop
+    thread_.join();
+    std::filesystem::remove(socket_);
+  }
+  BenchDaemon(const BenchDaemon&) = delete;
+  BenchDaemon& operator=(const BenchDaemon&) = delete;
+  const std::string& socket() const { return socket_; }
+
+ private:
+  std::string socket_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 template <typename Fn>
@@ -154,56 +206,71 @@ int main() {
       (repeat_sampled - repeat_gated) / repeat_gated * 100.0;
 
   // ---- daemon transport regimes (ISSUE 10) --------------------------------
-  const std::string socket_path = "/tmp/adsala_bench_serve.sock";
-  std::filesystem::remove(socket_path);
-  std::atomic<bool> stop{false};
-  daemon::ServeOptions sopts;
-  sopts.socket_path = socket_path;
-  sopts.handle_signals = false;  // in-process server: leave signals alone
-  sopts.stop = &stop;
-  std::thread server([&] { (void)daemon::serve(runtime, sopts); });
-  for (int i = 0; i < 500 && !std::filesystem::exists(socket_path); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-
   daemon::Request req;
   req.op_code = static_cast<std::uint8_t>(blas::OpKind::kGemm);
   req.elem_bytes = 4;
   req.x = req.y = req.z = 512;
-  const double raw_daemon = ns_per_call(
-      [&](long) {
-        auto ack = daemon::query(socket_path, req, 2000);
-        return ack.ok() ? static_cast<long>(ack.value().threads) : -1L;
-      },
-      2000);
-
-  auto transport =
-      [&](const core::ServeQuery& q) -> Expected<core::ServeAnswer> {
-    daemon::Request r;
-    r.op_code = static_cast<std::uint8_t>(q.op);
-    r.elem_bytes = static_cast<std::uint8_t>(q.elem_bytes);
-    r.x = q.x;
-    r.y = q.y;
-    r.z = q.z;
-    auto ack = daemon::query(socket_path, r, 2000);
-    if (!ack.ok()) return ack.error();
-    if (ack.value().status != ErrorCode::kOk) {
-      return Error{ack.value().status, "daemon rejected the request"};
-    }
-    core::ServeAnswer a;
-    a.threads = static_cast<int>(ack.value().threads);
-    a.mode = ack.value().mode;
-    return a;
-  };
   core::ServeQuery sq;
   sq.x = sq.y = sq.z = 512;
-  core::ResilientClient resilient(transport, {});
-  const double resilient_daemon = ns_per_call(
-      [&](long) {
-        auto a = resilient.query(sq);
-        return a.ok() ? static_cast<long>(a.value().threads) : -1L;
-      },
-      2000);
+  double raw_daemon = 0.0;
+  double two_client_daemon = 0.0;
+  double resilient_daemon = 0.0;
+  {
+    BenchDaemon server(runtime, "/tmp/adsala_bench_serve.sock");
+    const std::string& socket_path = server.socket();
+    raw_daemon = ns_per_call(
+        [&](long) {
+          auto ack = daemon::query(socket_path, req, 2000);
+          return ack.ok() ? static_cast<long>(ack.value().threads) : -1L;
+        },
+        2000);
+
+    constexpr long kPerClient = 2000;
+    auto query_loop = [&]() {
+      long answered = 0;
+      for (long i = 0; i < kPerClient; ++i) {
+        answered += daemon::query(socket_path, req, 2000).ok() ? 1 : 0;
+      }
+      return answered;
+    };
+    two_client_daemon =
+        ns_per_call(
+            [&](long) {
+              long other_answered = 0;
+              std::thread other([&] { other_answered = query_loop(); });
+              const long answered = query_loop();
+              other.join();
+              return answered + other_answered;
+            },
+            1) /
+        (2.0 * kPerClient);
+
+    auto transport =
+        [&](const core::ServeQuery& q) -> Expected<core::ServeAnswer> {
+      daemon::Request r;
+      r.op_code = static_cast<std::uint8_t>(q.op);
+      r.elem_bytes = static_cast<std::uint8_t>(q.elem_bytes);
+      r.x = q.x;
+      r.y = q.y;
+      r.z = q.z;
+      auto ack = daemon::query(socket_path, r, 2000);
+      if (!ack.ok()) return ack.error();
+      if (ack.value().status != ErrorCode::kOk) {
+        return Error{ack.value().status, "daemon rejected the request"};
+      }
+      core::ServeAnswer a;
+      a.threads = static_cast<int>(ack.value().threads);
+      a.mode = ack.value().mode;
+      return a;
+    };
+    core::ResilientClient resilient(transport, {});
+    resilient_daemon = ns_per_call(
+        [&](long) {
+          auto a = resilient.query(sq);
+          return a.ok() ? static_cast<long>(a.value().threads) : -1L;
+        },
+        2000);
+  }
 
   // Breaker-open regime: the transport refuses instantly, the first query
   // trips the (threshold 1) breaker, and every timed call after warm-up is
@@ -224,10 +291,32 @@ int main() {
       },
       200000);
 
-  stop.store(true, std::memory_order_release);
-  (void)daemon::query(socket_path, req, 500);  // wake the accept loop
-  server.join();
-  std::filesystem::remove(socket_path);
+  // The raw loop again, against a daemon watching a region that holds this
+  // runtime's artefacts and is never republished: what the per-connection
+  // probe costs when nothing changed.
+  const std::string artefact_dir = "/tmp/adsala_bench_serve_artefacts";
+  const std::string region = artefact_dir + "/region";
+  std::filesystem::create_directories(artefact_dir);
+  runtime.save(artefact_dir + "/model.json", artefact_dir + "/config.json");
+  const Error published =
+      core::publish_shm_region(region, slurp(artefact_dir + "/model.json"),
+                               slurp(artefact_dir + "/config.json"));
+  if (!published.ok()) {
+    std::fprintf(stderr, "shm publish failed: %s\n", published.message.c_str());
+    return 1;
+  }
+  double reattach_daemon = 0.0;
+  {
+    BenchDaemon server(runtime, "/tmp/adsala_bench_serve_reattach.sock",
+                       region);
+    reattach_daemon = ns_per_call(
+        [&](long) {
+          auto ack = daemon::query(server.socket(), req, 2000);
+          return ack.ok() ? static_cast<long>(ack.value().threads) : -1L;
+        },
+        2000);
+  }
+  std::filesystem::remove_all(artefact_dir);
 
   const double resilient_overhead_pct =
       (resilient_daemon - raw_daemon) / raw_daemon * 100.0;
@@ -240,6 +329,9 @@ int main() {
   std::printf("  %-28s %10.1f\n", "pingpong (memo hit, 2 keys)", pingpong);
   std::printf("  %-28s %10.1f\n", "stream (memo miss, argmin)", stream);
   std::printf("  %-28s %10.1f\n", "raw daemon query", raw_daemon);
+  std::printf("  %-28s %10.1f\n", "two-client daemon query",
+              two_client_daemon);
+  std::printf("  %-28s %10.1f\n", "reattach daemon query", reattach_daemon);
   std::printf("  %-28s %10.1f\n", "resilient daemon query", resilient_daemon);
   std::printf("  %-28s %10.1f\n", "resilient, breaker open", breaker_open);
   std::printf("  hit/miss ratio: %.1fx\n", stream / repeat);
@@ -265,6 +357,8 @@ int main() {
   row("pingpong", pingpong);
   row("stream", stream);
   row("raw_daemon_query", raw_daemon);
+  row("two_client_daemon_query", two_client_daemon);
+  row("reattach_daemon_query", reattach_daemon);
   row("resilient_daemon_query", resilient_daemon);
   row("resilient_breaker_open", breaker_open);
   return 0;

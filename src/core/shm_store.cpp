@@ -410,4 +410,44 @@ Expected<ShmArtefacts> read_shm_region(const std::string& path) {
   return read_shm_region_impl(path, /*allow_heal=*/true);
 }
 
+ShmHeaderWatch::ShmHeaderWatch(std::string path) : path_(std::move(path)) {}
+
+ShmHeaderWatch::~ShmHeaderWatch() { unmap(); }
+
+void ShmHeaderWatch::unmap() {
+  if (header_ != nullptr) ::munmap(header_, kShmHeaderBytes);
+  header_ = nullptr;
+}
+
+std::optional<ShmStamp> ShmHeaderWatch::probe() {
+  struct stat st{};
+  if (::stat(path_.c_str(), &st) != 0 ||
+      st.st_size < static_cast<off_t>(kShmHeaderBytes)) {
+    return std::nullopt;
+  }
+  if (header_ == nullptr || static_cast<std::uint64_t>(st.st_dev) != device_ ||
+      static_cast<std::uint64_t>(st.st_ino) != inode_) {
+    unmap();
+    const int fd = ::open(path_.c_str(), O_RDONLY);
+    if (fd < 0) return std::nullopt;
+    // Identify the mapping by the opened file, not the earlier stat: the
+    // path may have been replaced in between.
+    struct stat opened{};
+    void* addr = MAP_FAILED;
+    if (::fstat(fd, &opened) == 0 &&
+        opened.st_size >= static_cast<off_t>(kShmHeaderBytes)) {
+      addr = ::mmap(nullptr, kShmHeaderBytes, PROT_READ, MAP_SHARED, fd, 0);
+    }
+    ::close(fd);
+    if (addr == MAP_FAILED) return std::nullopt;
+    header_ = addr;
+    device_ = static_cast<std::uint64_t>(opened.st_dev);
+    inode_ = static_cast<std::uint64_t>(opened.st_ino);
+  }
+  auto* header = static_cast<ShmHeader*>(header_);
+  if (header->magic != kShmMagic) return std::nullopt;
+  return ShmStamp{device_, inode_,
+                  generation_ref(header).load(std::memory_order_acquire)};
+}
+
 }  // namespace adsala::core

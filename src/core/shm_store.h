@@ -60,10 +60,16 @@
 // the liveness probe + heal path above. Validation of the payload *content*
 // is not done here — AdsalaGemm::try_attach feeds the copied bytes through
 // the exact same ladder try_load applies to files.
+//
+// ShmHeaderWatch is the cheap "did anything change?" check for a process
+// that polls a region (the daemon's --reattach): it keeps a read-only
+// mapping of the header alone and reads the generation word through it,
+// so a probe that finds nothing new copies no payload.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include <sys/types.h>
@@ -122,6 +128,43 @@ struct ShmArtefacts {
 Error publish_shm_region(const std::string& path,
                          const std::string& model_json,
                          const std::string& config_json);
+
+/// Which publish a region path holds: the file (device, inode) and the
+/// generation word in it. A region removed and published again is a new
+/// file, so its stamp differs even when its generation counter restarted
+/// at the old value.
+struct ShmStamp {
+  std::uint64_t device = 0;
+  std::uint64_t inode = 0;
+  std::uint64_t generation = 0;
+  bool operator==(const ShmStamp&) const = default;
+};
+
+/// A read-only mapping of one region's 128-byte header, kept across probes.
+/// probe() costs one stat(2) and one acquire load of the generation word;
+/// it maps the header again only when the path names a different file than
+/// the last probe saw. It reads no payload and never heals: a stamp that
+/// moved tells the caller to read_shm_region (or try_attach) the new bytes.
+class ShmHeaderWatch {
+ public:
+  explicit ShmHeaderWatch(std::string path);
+  ~ShmHeaderWatch();
+  ShmHeaderWatch(const ShmHeaderWatch&) = delete;
+  ShmHeaderWatch& operator=(const ShmHeaderWatch&) = delete;
+
+  /// The stamp of what the path holds now; nullopt when there is no file,
+  /// it is shorter than a header, or its magic is not this format's.
+  /// Regions only grow in place, so the mapped header page stays backed.
+  std::optional<ShmStamp> probe();
+
+ private:
+  void unmap();
+
+  std::string path_;
+  void* header_ = nullptr;  ///< mapping of the first kShmHeaderBytes
+  std::uint64_t device_ = 0;
+  std::uint64_t inode_ = 0;
+};
 
 /// Attaches to the region and copies one *stable* generation of payloads
 /// out. When the retry budget is exhausted on an odd generation, probes the

@@ -11,12 +11,20 @@
 // across the suite) by targeted JSON surgery, so each fixture isolates
 // exactly one defect.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adsala_daemon.h"
@@ -1099,6 +1107,245 @@ TEST(DaemonCodec, ShortOrGarbledAcksAreProtocolErrors) {
   auto bad = daemon::decode_ack(buf, sizeof(buf));
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().code, ErrorCode::kProtocolError);
+}
+
+// ---------------------------------------------------- daemon over sockets
+
+/// In-process serve() loops and socket-level clients. The runtime is the
+/// corpus install; the committed tiny artefacts are a second model whose
+/// answers differ on some shapes, which is how the reattach test tells the
+/// two publishes apart.
+class DaemonSocket : public ShmRegion {
+ protected:
+  static std::string tiny_model() {
+    return std::string(ADSALA_TINY_ARTIFACTS_DIR) + "/model.json";
+  }
+  static std::string tiny_config() {
+    return std::string(ADSALA_TINY_ARTIFACTS_DIR) + "/config.json";
+  }
+
+  static daemon::Request gemm_request(std::int64_t m, std::int64_t k,
+                                      std::int64_t n) {
+    daemon::Request req;
+    req.op_code = static_cast<std::uint8_t>(blas::op_code(blas::OpKind::kGemm));
+    req.x = m;
+    req.y = k;
+    req.z = n;
+    return req;
+  }
+
+  /// Runs daemon::serve on its own thread; stop() ends it and joins.
+  class Server {
+   public:
+    Server(AdsalaGemm& runtime, daemon::ServeOptions options)
+        : socket_(options.socket_path) {
+      std::filesystem::remove(socket_);
+      options.handle_signals = false;
+      options.stop = &stop_;
+      thread_ = std::thread([this, &runtime, options] {
+        try {
+          result_ = daemon::serve(runtime, options);
+        } catch (const std::exception& e) {
+          result_ = Error{ErrorCode::kInternal, e.what()};
+        }
+        done_.store(true, std::memory_order_release);
+      });
+      for (int i = 0; i < 500 && !std::filesystem::exists(socket_); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+    ~Server() { stop(); }
+    Server(const Server&) = delete;
+    Server& operator=(const Server&) = delete;
+
+    /// True when serve() returned on its own within `ms`.
+    bool returns_within(int ms) const {
+      for (int waited = 0; waited < ms; waited += 5) {
+        if (done_.load(std::memory_order_acquire)) return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      return done_.load(std::memory_order_acquire);
+    }
+
+    /// Sets the stop flag, wakes the accept loop with one query, joins.
+    Error stop() {
+      if (thread_.joinable()) {
+        stop_.store(true, std::memory_order_release);
+        if (!done_.load(std::memory_order_acquire)) {
+          (void)daemon::query(socket_, gemm_request(64, 64, 64), 500);
+        }
+        thread_.join();
+      }
+      return result_;
+    }
+
+   private:
+    std::string socket_;
+    std::atomic<bool> stop_{false};
+    std::atomic<bool> done_{false};
+    Error result_;
+    std::thread thread_;
+  };
+
+  /// A connected client socket at `path`, or -1.
+  static int connect_to(const std::string& path) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+      ::close(fd);
+      return -1;
+    }
+    return fd;
+  }
+};
+
+TEST_F(DaemonSocket, QueryHalfClosesBeforeItsAck) {
+  // A one-frame client must shut its write side down right after the
+  // frame: the daemon then reads EOF as soon as it has answered, instead of
+  // waiting for the client to be scheduled, read the ack and close.
+  const std::string path = *dir_ + "/halfclose.sock";
+  std::filesystem::remove(path);
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  const daemon::Request req = gemm_request(300, 200, 100);
+  Expected<daemon::Ack> answer = Error{ErrorCode::kInternal, "no answer"};
+  std::thread client([&] { answer = daemon::query(path, req, 5000); });
+
+  const int conn = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(conn, 0);
+  std::uint8_t frame[daemon::kRequestBytes + 1];
+  std::size_t got = 0;
+  bool eof = false;
+  // Read until EOF or a 1 s silence: the 28-byte frame, then EOF.
+  for (;;) {
+    pollfd pfd{conn, POLLIN, 0};
+    if (::poll(&pfd, 1, 1000) <= 0) break;
+    const ssize_t n = ::recv(conn, frame + got, sizeof(frame) - got, 0);
+    if (n <= 0) {
+      eof = n == 0;
+      break;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  std::uint8_t expected[daemon::kRequestBytes];
+  daemon::encode_request(req, expected);
+  EXPECT_EQ(got, daemon::kRequestBytes);
+  EXPECT_EQ(std::memcmp(frame, expected, daemon::kRequestBytes), 0);
+  EXPECT_TRUE(eof) << "query kept its write side open after the frame";
+
+  // The ack still reaches the half-closed client.
+  daemon::Ack ack;
+  ack.threads = 3;
+  ack.mode = 0;
+  std::uint8_t out[daemon::kAckBytes];
+  daemon::encode_ack(ack, out);
+  EXPECT_EQ(::send(conn, out, sizeof(out), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(out)));
+  client.join();
+  ::close(conn);
+  ::close(listener);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(answer.ok()) << answer.error().message;
+  EXPECT_EQ(answer.value().status, ErrorCode::kOk);
+  EXPECT_EQ(answer.value().threads, 3u);
+}
+
+TEST_F(DaemonSocket, IdleConnectionCountsTowardMaxRequests) {
+  // A client that connects and says nothing past the io deadline is one
+  // refused request: with --max-requests 2 it and one real query end the
+  // loop. A connection closed before its first byte counts nothing.
+  auto loaded = AdsalaGemm::try_load(model_path(), config_path());
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  AdsalaGemm runtime = std::move(loaded).value();
+  daemon::ServeOptions options;
+  options.socket_path = *dir_ + "/idle.sock";
+  options.max_requests = 2;
+  options.io_timeout_ms = 100;
+  Server server(runtime, options);
+
+  const int probe = connect_to(options.socket_path);
+  ASSERT_GE(probe, 0);
+  ::close(probe);  // like serve's live-socket probe: not counted
+  const int silent = connect_to(options.socket_path);
+  ASSERT_GE(silent, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ::close(silent);
+  auto answer = daemon::query(options.socket_path, gemm_request(512, 512, 512));
+  ASSERT_TRUE(answer.ok()) << answer.error().message;
+  EXPECT_EQ(answer.value().status, ErrorCode::kOk);
+  EXPECT_TRUE(server.returns_within(3000))
+      << "serve kept waiting after one idle connection and one answer";
+  EXPECT_TRUE(server.stop().ok());
+}
+
+TEST_F(DaemonSocket, ReattachAnswersFromEachNewPublish) {
+  // Two models that disagree on some shape: the corpus install (A) and the
+  // committed tiny artefacts (B).
+  auto a = AdsalaGemm::try_load(model_path(), config_path());
+  auto b = AdsalaGemm::try_load(tiny_model(), tiny_config());
+  ASSERT_TRUE(a.ok()) << a.error().message;
+  ASSERT_TRUE(b.ok()) << b.error().message;
+  long shape = 0;
+  for (long x = 16; x <= 4096 && shape == 0; x += 16) {
+    if (a.value().select_threads(x, x, x) !=
+        b.value().select_threads(x, x, x)) {
+      shape = x;
+    }
+  }
+  ASSERT_NE(shape, 0) << "the two models agree on every probed shape";
+  const auto a_threads =
+      static_cast<std::uint32_t>(a.value().select_threads(shape, shape, shape));
+  const auto b_threads =
+      static_cast<std::uint32_t>(b.value().select_threads(shape, shape, shape));
+
+  const std::string region = *dir_ + "/region_reattach";
+  std::filesystem::remove(region);
+  const std::string a_model = slurp(model_path());
+  const std::string a_config = slurp(config_path());
+  const std::string b_model = slurp(tiny_model());
+  const std::string b_config = slurp(tiny_config());
+  ASSERT_TRUE(publish_shm_region(region, a_model, a_config).ok());
+  auto attached = AdsalaGemm::try_attach(region);
+  ASSERT_TRUE(attached.ok()) << attached.error().message;
+  AdsalaGemm runtime = std::move(attached).value();
+
+  daemon::ServeOptions options;
+  options.socket_path = *dir_ + "/reattach.sock";
+  options.reattach_shm = region;
+  Server server(runtime, options);
+  auto ask = [&]() -> std::uint32_t {
+    auto ack = daemon::query(options.socket_path,
+                             gemm_request(shape, shape, shape));
+    EXPECT_TRUE(ack.ok()) << ack.error().message;
+    return ack.ok() ? ack.value().threads : 0u;
+  };
+
+  EXPECT_EQ(ask(), a_threads);
+  // In-place republish: the very next connection answers from B.
+  ASSERT_TRUE(publish_shm_region(region, b_model, b_config).ok());
+  EXPECT_EQ(ask(), b_threads);
+  EXPECT_EQ(ask(), b_threads);
+  // Removed and published again: a new file, generation restarted.
+  std::filesystem::remove(region);
+  ASSERT_TRUE(publish_shm_region(region, a_model, a_config).ok());
+  EXPECT_EQ(ask(), a_threads);
+  // Once more, so the new file's generation equals the one served from:
+  // only the file identity tells the two publishes apart.
+  std::filesystem::remove(region);
+  ASSERT_TRUE(publish_shm_region(region, b_model, b_config).ok());
+  EXPECT_EQ(ask(), b_threads);
+  EXPECT_TRUE(server.stop().ok());
 }
 
 // ----------------------------------------------------- CSV loader hardening

@@ -37,9 +37,9 @@
 // serve from (`predict --shm`, `serve --shm`). `serve` runs the resident
 // daemon on a Unix-domain socket; `query` is its client (and `--send-
 // malformed` deliberately sends a wrong-version frame so CI can check the
-// protocol-error path end to end). `serve --shm --reattach` keeps watching
-// the region between connections and hot-swaps in any new generation a
-// retune republished.
+// protocol-error path end to end). `serve --shm --reattach` probes the
+// region on every connection and hot-swaps in any new generation a retune
+// republished before answering it.
 //
 // Crash-safety plumbing (ISSUE 10, docs/OPERATIONS.md "Crash recovery
 // runbook"): `serve` refuses to steal a live daemon's socket (exit 9),

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "blas/op.h"
 #include "core/shm_store.h"
@@ -70,35 +71,63 @@ int wait_ready(int fd, short events, long long deadline_ms) {
   }
 }
 
-/// Reads exactly `len` bytes; returns the count read (short on EOF, error,
-/// or deadline expiry). deadline_ms is an absolute CLOCK_MONOTONIC time
-/// (< 0 = block forever, pre-deadline behaviour).
-std::size_t read_full(int fd, std::uint8_t* buf, std::size_t len,
-                      long long deadline_ms = -1) {
-  std::size_t got = 0;
-  while (got < len) {
-    if (wait_ready(fd, POLLIN, deadline_ms) <= 0) break;
-    const ssize_t n = ::read(fd, buf + got, len - got);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
+/// Why an io loop stopped.
+enum class IoEnd { kDone, kEof, kTimeout, kError };
+
+struct IoResult {
+  std::size_t bytes = 0;
+  IoEnd end = IoEnd::kDone;
+};
+
+/// Reads exactly `len` bytes, or stops at EOF, error or deadline expiry.
+/// Each recv is tried first and poll(2) runs only when it would block;
+/// `poll_first` starts with the poll instead, for a read whose bytes cannot
+/// be there yet (a client waiting for its ack). deadline_ms is an absolute
+/// CLOCK_MONOTONIC time (< 0 = no deadline).
+IoResult read_full(int fd, std::uint8_t* buf, std::size_t len,
+                   long long deadline_ms, bool poll_first = false) {
+  IoResult r;
+  bool wait = poll_first;
+  while (r.bytes < len) {
+    if (wait) {
+      const int ready = wait_ready(fd, POLLIN, deadline_ms);
+      if (ready <= 0) {
+        r.end = ready == 0 ? IoEnd::kTimeout : IoEnd::kError;
+        return r;
+      }
+      wait = false;
     }
-    got += static_cast<std::size_t>(n);
+    const ssize_t n = ::recv(fd, buf + r.bytes, len - r.bytes, MSG_DONTWAIT);
+    if (n > 0) {
+      r.bytes += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      r.end = IoEnd::kEof;
+      return r;
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      wait = true;
+    } else if (errno != EINTR) {
+      r.end = IoEnd::kError;
+      return r;
+    }
   }
-  return got;
+  return r;
 }
 
+/// Writes all `len` bytes: send first, poll(2) only when the socket buffer
+/// is full. False on error or deadline expiry.
 bool write_full(int fd, const std::uint8_t* buf, std::size_t len,
-                long long deadline_ms = -1) {
+                long long deadline_ms) {
   std::size_t put = 0;
   while (put < len) {
-    if (wait_ready(fd, POLLOUT, deadline_ms) <= 0) return false;
-    const ssize_t n = ::send(fd, buf + put, len - put, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
+    const ssize_t n =
+        ::send(fd, buf + put, len - put, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      put += static_cast<std::size_t>(n);
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (wait_ready(fd, POLLOUT, deadline_ms) <= 0) return false;
+    } else if (n == 0 || errno != EINTR) {
       return false;
     }
-    put += static_cast<std::size_t>(n);
   }
   return true;
 }
@@ -238,25 +267,120 @@ SocketProbe probe_socket(const sockaddr_un& addr) {
   return SocketProbe::kDead;  // ECONNREFUSED and friends: stale file
 }
 
-/// One reattach probe (see ServeOptions::reattach_shm): when the region's
-/// generation moved past `last_generation`, attach + validate the new
-/// artefacts and hot-swap them in. Every failure mode is a skip-and-retry,
-/// never a degradation of what is already being served.
-void maybe_reattach(core::AdsalaGemm& runtime, const std::string& shm_path,
-                    std::uint64_t* last_generation) {
-  auto region = core::read_shm_region(shm_path);
-  if (!region.ok()) return;
-  if (region.value().generation == *last_generation) return;
+/// One reattach probe (see ServeOptions::reattach_shm): when the region
+/// holds another publish than the one `served` names, attach + validate the
+/// new artefacts and hot-swap them in. Every failure mode is a
+/// skip-and-retry, never a degradation of what is already being served.
+void maybe_reattach(core::AdsalaGemm& runtime, core::ShmHeaderWatch& watch,
+                    const std::string& shm_path,
+                    std::optional<core::ShmStamp>* served) {
+  const std::optional<core::ShmStamp> now = watch.probe();
+  if (!now.has_value() || now == *served) return;
   auto attached = core::AdsalaGemm::try_attach(shm_path);
   if (!attached.ok()) return;  // torn or mid-swap: retry next connection
   const std::uint64_t version = runtime.install(attached.value().snapshot());
-  *last_generation = region.value().generation;
+  *served = now;
   std::fprintf(stderr,
                "[serve] reattached %s (shm generation %llu) as snapshot "
                "version %llu\n",
                shm_path.c_str(),
-               static_cast<unsigned long long>(*last_generation),
+               static_cast<unsigned long long>(now->generation),
                static_cast<unsigned long long>(version));
+}
+
+/// How one connection ended: the closed set of outcomes serve_connection
+/// returns, and the one thing serve() counts (requests_counted).
+enum class ConnEnd {
+  kPeerClosed,     ///< EOF or reset at a frame boundary
+  kIdleTimeout,    ///< no byte of a next frame within the io deadline
+  kProtocolError,  ///< a malformed or partial frame, acked protocol_error
+  kSendFailed,     ///< an ack could not be written within the deadline
+  kDrain,          ///< drain signal seen at a frame boundary or mid-frame;
+                   ///< a pending frame was refused with unavailable
+  kBudgetSpent,    ///< max_requests reached on this connection
+};
+
+struct ConnOutcome {
+  ConnEnd end = ConnEnd::kPeerClosed;
+  long answered = 0;  ///< frames answered, whatever the ack status
+};
+
+/// What one connection adds toward ServeOptions::max_requests: each frame
+/// it answered, or one refused request when it idled out with no answer.
+/// A client that closes before sending a byte (serve's own live-socket
+/// probe) and an answered connection that idles out add nothing more.
+long requests_counted(const ConnOutcome& outcome) {
+  if (outcome.answered == 0 && outcome.end == ConnEnd::kIdleTimeout) return 1;
+  return outcome.answered;
+}
+
+/// Acks kUnavailable: the drain refusal a client retries elsewhere on.
+void send_refusal(int conn, long long deadline) {
+  Ack refusal;
+  refusal.status = ErrorCode::kUnavailable;
+  std::uint8_t out[kAckBytes];
+  encode_ack(refusal, out);
+  (void)write_full(conn, out, kAckBytes, deadline);
+}
+
+/// Answers frames on one accepted connection until it ends. A connection
+/// can stream several frames; a malformed frame acks kProtocolError and
+/// ends it (the stream framing is gone). Each frame (recv + send) runs
+/// under its own io_timeout_ms deadline, so a wedged client costs one
+/// timeout. `budget` caps the answers (< 0 = no cap).
+ConnOutcome serve_connection(const core::AdsalaGemm& runtime, int conn,
+                             int io_timeout_ms, long budget,
+                             const DrainSignals& drain) {
+  ConnOutcome outcome;
+  for (;;) {
+    if (budget >= 0 && outcome.answered >= budget) {
+      outcome.end = ConnEnd::kBudgetSpent;
+      return outcome;
+    }
+    const long long deadline = deadline_after(io_timeout_ms);
+    std::uint8_t frame[kRequestBytes];
+    const IoResult in = read_full(conn, frame, kRequestBytes, deadline);
+    if (in.bytes == 0) {
+      outcome.end = in.end == IoEnd::kTimeout ? ConnEnd::kIdleTimeout
+                                              : ConnEnd::kPeerClosed;
+      return outcome;
+    }
+    if (in.bytes < kRequestBytes && drain.draining()) {
+      // Interrupted mid-frame by the drain signal with only a partial
+      // frame on the wire: refuse rather than wait out the deadline.
+      send_refusal(conn, deadline);
+      outcome.end = ConnEnd::kDrain;
+      return outcome;
+    }
+    const Ack ack = handle_frame(runtime, frame, in.bytes);
+    std::uint8_t out[kAckBytes];
+    encode_ack(ack, out);
+    const bool sent = write_full(conn, out, kAckBytes, deadline);
+    ++outcome.answered;
+    if (!sent) {
+      outcome.end = ConnEnd::kSendFailed;
+      return outcome;
+    }
+    if (ack.status == ErrorCode::kProtocolError) {
+      outcome.end = ConnEnd::kProtocolError;
+      return outcome;
+    }
+    if (drain.draining()) {
+      // The in-flight request got its real answer; a follow-up frame
+      // already queued on this connection gets an explicit refusal ack
+      // (kUnavailable) so the client retries elsewhere instead of
+      // misreading the close as a crash.
+      if (wait_ready(conn, POLLIN, now_ms() + 1) > 0) {
+        std::uint8_t next[kRequestBytes];
+        if (read_full(conn, next, kRequestBytes, deadline_after(100)).bytes ==
+            kRequestBytes) {
+          send_refusal(conn, deadline_after(100));
+        }
+      }
+      outcome.end = ConnEnd::kDrain;
+      return outcome;
+    }
+  }
 }
 
 }  // namespace
@@ -306,27 +430,23 @@ Error serve(core::AdsalaGemm& runtime, const ServeOptions& options) {
     return err;
   }
 
-  // Baseline the reattach generation against what is in the region right
-  // now: the runtime was just loaded from these (or equivalent) bytes, and
+  // Baseline the reattach stamp against what is in the region right now:
+  // the runtime was just loaded from these (or equivalent) bytes, and
   // re-installing them would only burn a snapshot version.
-  std::uint64_t shm_generation = 0;
+  std::optional<core::ShmHeaderWatch> watch;
+  std::optional<core::ShmStamp> served;
   if (!options.reattach_shm.empty()) {
-    if (auto region = core::read_shm_region(options.reattach_shm);
-        region.ok()) {
-      shm_generation = region.value().generation;
-    }
+    watch.emplace(options.reattach_shm);
+    served = watch->probe();
   }
 
   DrainSignals drain(options.handle_signals);
-  long answered = 0;
-  while (options.max_requests < 0 || answered < options.max_requests) {
+  long counted = 0;
+  while (options.max_requests < 0 || counted < options.max_requests) {
     if (drain.draining()) break;
     if (options.stop != nullptr &&
         options.stop->load(std::memory_order_acquire)) {
       break;
-    }
-    if (!options.reattach_shm.empty()) {
-      maybe_reattach(runtime, options.reattach_shm, &shm_generation);
     }
     const int conn = ::accept(listener, nullptr, nullptr);
     if (conn < 0) {
@@ -339,49 +459,15 @@ Error serve(core::AdsalaGemm& runtime, const ServeOptions& options) {
       ::close(listener);
       return err;
     }
-    // One connection can stream multiple requests; a malformed frame acks
-    // kProtocolError and drops the connection (the stream framing is gone).
-    // Each frame (recv + send) runs under its own io_timeout_ms deadline: a
-    // wedged client costs one timeout, then the next caller is served.
-    while (options.max_requests < 0 || answered < options.max_requests) {
-      const long long deadline = deadline_after(options.io_timeout_ms);
-      std::uint8_t frame[kRequestBytes];
-      const std::size_t got = read_full(conn, frame, kRequestBytes, deadline);
-      if (got == 0) break;  // clean client disconnect (or idle timeout)
-      if (got < kRequestBytes && drain.draining()) {
-        // Interrupted mid-frame by the drain signal with only a partial
-        // frame on the wire: refuse rather than wait out the deadline.
-        Ack refusal;
-        refusal.status = ErrorCode::kUnavailable;
-        std::uint8_t out[kAckBytes];
-        encode_ack(refusal, out);
-        write_full(conn, out, kAckBytes, deadline);
-        break;
-      }
-      const Ack ack = handle_frame(runtime, frame, got);
-      std::uint8_t out[kAckBytes];
-      encode_ack(ack, out);
-      const bool sent = write_full(conn, out, kAckBytes, deadline);
-      ++answered;
-      if (!sent || ack.status == ErrorCode::kProtocolError) break;
-      if (drain.draining()) {
-        // The in-flight request got its real answer; a follow-up frame
-        // already queued on this connection gets an explicit refusal ack
-        // (kUnavailable) so the client retries elsewhere instead of
-        // misreading the close as a crash.
-        if (wait_ready(conn, POLLIN, now_ms() + 1) > 0) {
-          std::uint8_t next[kRequestBytes];
-          if (read_full(conn, next, kRequestBytes, deadline_after(100)) ==
-              kRequestBytes) {
-            Ack refusal;
-            refusal.status = ErrorCode::kUnavailable;
-            encode_ack(refusal, out);
-            write_full(conn, out, kAckBytes, deadline_after(100));
-          }
-        }
-        break;
-      }
+    // Probe after accept, so a republish that landed while the loop sat in
+    // accept already answers this connection.
+    if (watch.has_value()) {
+      maybe_reattach(runtime, *watch, options.reattach_shm, &served);
     }
+    const long budget =
+        options.max_requests < 0 ? -1 : options.max_requests - counted;
+    counted += requests_counted(serve_connection(
+        runtime, conn, options.io_timeout_ms, budget, drain));
     ::close(conn);
   }
   ::close(listener);
@@ -425,15 +511,20 @@ Expected<Ack> query(const std::string& socket_path, const Request& req,
     ::close(fd);
     return err;
   }
+  // One frame per connection: half-close right away, so the daemon reads
+  // EOF as soon as it has answered instead of waiting for this process to
+  // be scheduled, read the ack and close.
+  ::shutdown(fd, SHUT_WR);
   std::uint8_t back[kAckBytes];
-  const std::size_t got = read_full(fd, back, kAckBytes, deadline);
+  const IoResult got =
+      read_full(fd, back, kAckBytes, deadline, /*poll_first=*/true);
   ::close(fd);
-  if (got < kAckBytes && deadline >= 0 && now_ms() >= deadline) {
+  if (got.end == IoEnd::kTimeout) {
     return Error{ErrorCode::kUnavailable,
                  socket_path + ": no answer within " +
                      std::to_string(io_timeout_ms) + "ms"};
   }
-  return decode_ack(back, got);
+  return decode_ack(back, got.bytes);
 }
 
 }  // namespace adsala::daemon

@@ -82,13 +82,19 @@ Ack handle_frame(const core::AdsalaGemm& runtime, const std::uint8_t* frame,
 
 struct ServeOptions {
   std::string socket_path;
-  /// Exit the accept loop after answering this many requests (< 0 = serve
-  /// forever). CI smoke tests use a small positive count so the daemon
-  /// terminates deterministically.
+  /// Exit the accept loop after this many requests (< 0 = serve forever).
+  /// Counted: every frame answered, whatever its ack status (a partial
+  /// frame that times out is acked protocol_error and counts), and one
+  /// refused request for each connection that idles past io_timeout_ms
+  /// without any answer. Not counted: a connection closed before its first
+  /// byte (the live-socket probe of a second serve) and the idle tail of
+  /// an answered connection. So no sequence of clients can keep a bounded
+  /// daemon waiting; CI smoke tests use a small positive count.
   long max_requests = -1;
   /// Optional external stop flag, polled between connections.
   const std::atomic<bool>* stop = nullptr;
-  /// Per-connection I/O deadline (poll(2)-based, recv and send): a client
+  /// Per-connection I/O deadline (recv and send; poll(2) waits only when a
+  /// call would block): a client
   /// that connects and then stalls — half a frame sent, or not draining its
   /// ack — costs the single-threaded accept loop at most this long before
   /// its connection is dropped and the next client is served. <= 0 disables
@@ -100,14 +106,17 @@ struct ServeOptions {
   /// kOk. Off for in-process test servers that must not touch global
   /// process signal state.
   bool handle_signals = true;
-  /// Continual-retuning integration: when non-empty, re-check this
-  /// shared-memory region between client connections and — whenever its
-  /// generation counter moved past what this daemon last served from —
-  /// try_attach the new artefacts and hot-swap them into the runtime
-  /// (AdsalaGemm::install; in-flight answers finish on the old snapshot).
-  /// A region that is missing, torn, or caught mid-swap is skipped and
-  /// retried at the next connection; the daemon never degrades what it is
-  /// already serving because a *re*-attach failed.
+  /// Continual-retuning integration: when non-empty, probe this
+  /// shared-memory region on every accepted connection, before its first
+  /// frame is read. The probe (core::ShmHeaderWatch) is one stat(2) and one
+  /// load of the generation word through a header mapping kept for the
+  /// daemon's lifetime. Only when the region holds another publish than the
+  /// one this daemon last served from (the generation moved, or the path
+  /// names a new file) does it try_attach the new artefacts and hot-swap
+  /// them into the runtime (AdsalaGemm::install), so that connection
+  /// already gets the new answer. A region that is missing, torn, or caught
+  /// mid-swap is skipped and retried at the next connection; the daemon
+  /// never degrades what it is already serving because a *re*-attach failed.
   std::string reattach_shm;
 };
 
@@ -125,11 +134,15 @@ struct ServeOptions {
 Error serve(core::AdsalaGemm& runtime, const ServeOptions& options);
 
 /// Client side: sends one request to a serving daemon and returns the
-/// decoded ack. kNotFound when no socket exists at the path, kUnavailable
-/// when nothing is accepting on it (or the daemon does not answer within
-/// `io_timeout_ms`; <= 0 blocks forever), kProtocolError on a garbled
-/// answer. Note the transport-level status is distinct from ack.status — a
-/// healthy round-trip can still carry a non-kOk ack.
+/// decoded ack. One connection carries one frame: the client half-closes
+/// (shutdown SHUT_WR) right after sending it, so the daemon reads EOF as
+/// soon as it has answered and goes on to its next client instead of
+/// waiting for this one to read the ack and close. kNotFound when no
+/// socket exists at the path, kUnavailable when nothing is accepting on it
+/// (or the daemon does not answer within `io_timeout_ms`; <= 0 blocks
+/// forever), kProtocolError on a garbled answer. Note the transport-level
+/// status is distinct from ack.status — a healthy round-trip can still
+/// carry a non-kOk ack.
 Expected<Ack> query(const std::string& socket_path, const Request& req,
                     int io_timeout_ms = 2000);
 
